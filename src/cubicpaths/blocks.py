@@ -111,6 +111,22 @@ def _relaxation_bound(x: int, r: int, n_open: int) -> int:
     return (x + r) * (1 << ((r + min(n_open, r)) // 2))
 
 
+def _placement_arcs(k: int, kind: list[int], partner: list[int]) -> tuple[Edge, ...]:
+    """Every unit arc of a full placement: path edges plus each extra arc.
+
+    ``kind[c]`` is 1 for an incoming vertex c, whose extra arc comes from
+    ``partner[c]`` (0 = dummy source); an outgoing vertex with no partner
+    (``k + 2``) sends its arc to the dummy sink.
+    """
+    arcs: list[Edge] = [(i, i + 1) for i in range(0, k + 1)]
+    for c in range(1, k + 1):
+        if kind[c] == 1:
+            arcs.append((partner[c], c))
+        elif partner[c] == k + 2:
+            arcs.append((c, k + 1))
+    return tuple(sorted(arcs))
+
+
 def _solve(k: int, budget: int | None, ftable: dict[int, int]):
     """Branch-and-bound core.  Returns (f, arcs, nodes, completed)."""
     INF = k + 2
@@ -146,15 +162,6 @@ def _solve(k: int, budget: int | None, ftable: dict[int, int]):
             i -= 1
         return False
 
-    def snapshot() -> tuple[Edge, ...]:
-        arcs: list[Edge] = [(i, i + 1) for i in range(0, k + 1)]
-        for c in range(1, k + 1):
-            if kind[c] == 1:
-                arcs.append((partner[c], c))
-            elif partner[c] == INF:
-                arcs.append((c, k + 1))
-        return tuple(sorted(arcs))
-
     def rec(pos: int, x: int) -> None:
         nonlocal best_f, best_arcs, nodes, aborted
         if aborted:
@@ -173,12 +180,12 @@ def _solve(k: int, budget: int | None, ftable: dict[int, int]):
                     partner[p] = nxt
                     if not bad_interval(nxt):
                         best_f = x + v
-                        best_arcs = snapshot()
+                        best_arcs = _placement_arcs(k, kind, partner)
                     partner[p] = INF
             if x + 1 > best_f:
                 partner[nxt] = 0
                 best_f = x + 1
-                best_arcs = snapshot()
+                best_arcs = _placement_arcs(k, kind, partner)
             kind[nxt] = 0
             return
 
@@ -244,7 +251,7 @@ def _solve(k: int, budget: int | None, ftable: dict[int, int]):
 _F_CACHE: dict[int, int] = {}  # proven optima only
 
 
-def solve_block(k: int, budget: int | None = None, use_cache: bool = True) -> BlockSolution:
+def solve_block(k: int, budget: int | None = None) -> BlockSolution:
     """Exact maximum of x_k, branch-and-bound with the ladder bound.
 
     Solves every smaller block first (cached across calls); only proven
@@ -254,29 +261,29 @@ def solve_block(k: int, budget: int | None = None, use_cache: bool = True) -> Bl
     """
     if k < 2:
         raise ValueError("blocks need k >= 2")
-    ftable = _F_CACHE if use_cache else {}
     for r in range(2, k):
-        if r in ftable:
+        if r in _F_CACHE:
             continue
-        f, arcs, nodes, completed = _solve(r, budget, ftable)
+        f, arcs, nodes, completed = _solve(r, budget, _F_CACHE)
         if completed:
-            ftable[r] = f
-    f, arcs, nodes, completed = _solve(k, budget, ftable)
+            _F_CACHE[r] = f
+    f, arcs, nodes, completed = _solve(k, budget, _F_CACHE)
     if arcs is None:
         raise RuntimeError(f"budget too small to reach any feasible assignment for k={k}")
     if completed:
-        root_ub = _relaxation_bound(1, k - 1, 1)
-        assert f <= root_ub, "relaxation bound fell below the optimum"
-        if use_cache:
-            ftable[k] = f
+        if f > _relaxation_bound(1, k - 1, 1):
+            raise RuntimeError(f"relaxation bound fell below the optimum f({k}) = {f}")
+        _F_CACHE[k] = f
     return _finish(k, f, arcs, nodes, completed)
 
 
 def _finish(k, f, arcs, nodes, proven) -> BlockSolution:
-    assert arcs is not None, "no feasible assignment found"
+    """Re-check the witness from scratch; raise if it is infeasible or off."""
     issues = check_assignment(k, arcs)
-    assert not issues, issues
-    assert recompute_counts(k, arcs) == f, "witness does not reproduce its count"
+    if issues:
+        raise RuntimeError(f"witness for k={k} is infeasible: {'; '.join(issues)}")
+    if recompute_counts(k, arcs) != f:
+        raise RuntimeError(f"witness for k={k} does not reproduce its count {f}")
     return BlockSolution(k, f, arcs, proven, nodes)
 
 
@@ -303,21 +310,12 @@ def brute_block(k: int) -> BlockSolution:
                 return False
         return True
 
-    def snapshot() -> tuple[Edge, ...]:
-        arcs: list[Edge] = [(i, i + 1) for i in range(0, k + 1)]
-        for c in range(1, k + 1):
-            if kind[c] == 1:
-                arcs.append((partner[c], c))
-            elif partner[c] == INF:
-                arcs.append((c, k + 1))
-        return tuple(sorted(arcs))
-
     def rec(pos: int, x: int) -> None:
         if pos == k:
             best[2] += 1
             if x > best[0]:
                 best[0] = x
-                best[1] = snapshot()
+                best[1] = _placement_arcs(k, kind, partner)
             return
         nxt = pos + 1
         if nxt < k:
@@ -345,21 +343,7 @@ def brute_block(k: int) -> BlockSolution:
 
     rec(1, 1)
     f, arcs, leaves = best
-    assert arcs is not None
-    issues = check_assignment(k, arcs)
-    assert not issues, issues
-    assert recompute_counts(k, arcs) == f
-    return BlockSolution(k, f, arcs, True, leaves)
-
-
-def block_ladder(k_max: int, budget: int | None = None) -> dict[int, int]:
-    """Proven f values for every block length up to k_max."""
-    for r in range(2, k_max + 1):
-        if r not in _F_CACHE:
-            sol = solve_block(r, budget)
-            if not sol.proven_optimal:
-                raise RuntimeError(f"budget too small to prove f({r})")
-    return {r: _F_CACHE[r] for r in range(2, k_max + 1)}
+    return _finish(k, f, arcs, leaves, True)
 
 
 def assemble_bound(

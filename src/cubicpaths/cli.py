@@ -17,7 +17,7 @@ from .dag import (
     count_paths,
     validate,
 )
-from .hamilton import RewriteError, hamiltonize, tree_sort
+from .hamilton import RewriteError, hamiltonize
 from .tuples import (
     ArcTuple,
     InvalidTupleError,
@@ -75,8 +75,9 @@ def cmd_hamiltonize(args) -> int:
     except (InvalidDagError, RewriteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
-    sorted_mu = count_paths(tree_sort(dag)).mu
-    out_mu = count_paths(result).mu
+    total_after = count_paths(result).total
+    # the first move starts from the tree-sorted counts; no move, no change
+    total_before = log[0].mu_before[-1] if log else total_after
     graph_text = fileio.write_graph_text(result, ("rewritten onto a Hamiltonian path",))
     if args.out:
         Path(args.out).write_text(graph_text)
@@ -89,15 +90,15 @@ def cmd_hamiltonize(args) -> int:
         "hamiltonize",
         {"file": args.file},
         {
-            "total_before": sorted_mu[-1],
-            "total_after": out_mu[-1],
+            "total_before": total_before,
+            "total_after": total_after,
             "moves": move_lines,
             "edges": [list(e) for e in result.edges],
         },
     )
     text = [] if args.out else [graph_text.rstrip("\n")]
     text += [f"moves: {len(log)}"] + move_lines
-    text += [f"total: {sorted_mu[-1]} -> {out_mu[-1]}"]
+    text += [f"total: {total_before} -> {total_after}"]
     _emit(args, doc, text)
     return OK
 
@@ -212,7 +213,7 @@ def cmd_search(args) -> int:
             "prunes": sorted(prunes),
         },
         outputs,
-        {"budget": args.budget, "seed": args.seed},
+        {"budget": args.budget},
     )
     _emit(args, doc, lines)
     if not report.complete:
@@ -300,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Source-to-sink path counting and extremal search on 3-regular DAGs.",
     )
     ap.add_argument("--format", choices=("text", "json"), default="text")
-    ap.add_argument("--seed", type=int, default=None, help="reserved; all algorithms are deterministic")
     ap.add_argument("--budget", type=int, default=None, help="node budget for searches")
     ap.add_argument("--strict", action="store_true", help="nonzero exit on incomplete results")
     sub = ap.add_subparsers(dest="command", required=True)

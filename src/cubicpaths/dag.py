@@ -88,12 +88,14 @@ def degree_vectors(dag: Dag) -> tuple[list[int], list[int]]:
     return indeg, outdeg
 
 
-def in_adjacency(dag: Dag) -> list[list[int]]:
-    """1-based in-neighbour lists, with multiplicity."""
-    adj: list[list[int]] = [[] for _ in range(dag.vertex_count + 1)]
+def adjacency(dag: Dag) -> tuple[list[list[int]], list[list[int]]]:
+    """1-based (out, in) neighbour lists with multiplicity; index 0 is unused."""
+    outs: list[list[int]] = [[] for _ in range(dag.vertex_count + 1)]
+    ins: list[list[int]] = [[] for _ in range(dag.vertex_count + 1)]
     for u, v in dag.edges:
-        adj[v].append(u)
-    return adj
+        outs[u].append(v)
+        ins[v].append(u)
+    return outs, ins
 
 
 def structural_violations(dag: Dag) -> list[str]:
@@ -168,15 +170,24 @@ def infer_profile(vertex_count: int, edges) -> DegreeProfile | None:
     return None
 
 
+def source_path_counts(ins: list[list[int]]) -> tuple[int, ...]:
+    """Per-vertex path counts from vertex 1 by the in-edge recurrence.
+
+    ``ins`` are 1-based in-neighbour lists (as from ``adjacency``) of a graph
+    whose every edge goes forward; nothing is validated here.
+    """
+    mu = [0] * len(ins)
+    mu[1] = 1
+    for v in range(2, len(ins)):
+        mu[v] = sum(mu[u] for u in ins[v])
+    return tuple(mu[1:])
+
+
 def count_paths(dag: Dag) -> PathCounts:
     """Count directed source-to-vertex paths by the in-edge recurrence."""
     require_valid(dag)
-    mu = [0] * (dag.vertex_count + 1)
-    mu[1] = 1
-    adj = in_adjacency(dag)
-    for v in range(2, dag.vertex_count + 1):
-        mu[v] = sum(mu[u] for u in adj[v])
-    return PathCounts(tuple(mu[1:]), mu[dag.vertex_count])
+    mu = source_path_counts(adjacency(dag)[1])
+    return PathCounts(mu, mu[-1])
 
 
 def reverse(dag: Dag) -> Dag:
@@ -244,18 +255,12 @@ def vertex_kinds(dag: Dag) -> tuple[int, ...]:
     """0/1 labels: 1 for indegree >= 2 (incoming), 0 for outdegree >= 2.
 
     Requires a declared, satisfied degree profile, under which the two cases
-    are exhaustive and mutually exclusive.
+    are exhaustive and mutually exclusive: every vertex has degree 3, or 2 at
+    a boundary with no in- or no out-edges, so indegree < 2 means outdegree >= 2.
     """
     require_valid(dag, with_profile=True)
-    indeg, outdeg = degree_vectors(dag)
-    kinds = []
-    for v in range(1, dag.vertex_count + 1):
-        if indeg[v] >= 2:
-            kinds.append(1)
-        else:
-            assert outdeg[v] >= 2, f"vertex {v} is neither incoming nor outgoing"
-            kinds.append(0)
-    return tuple(kinds)
+    indeg, _ = degree_vectors(dag)
+    return tuple(1 if indeg[v] >= 2 else 0 for v in range(1, dag.vertex_count + 1))
 
 
 Witness = tuple  # ("initial-segment", k) or ("interval", i, j)

@@ -12,8 +12,8 @@ Moves are order-dependent.  Incoming moves run from the sink down: a move at
 v shifts mu(q) - mu(l2) >= 0 paths from a later vertex u onto v, and that is
 only made good if v reaches u, which the consecutive edges (w-1, w) for
 w > v guarantee once every later vertex has been hooked.  A single rewrite
-therefore runs sequentially; distinct graphs can be processed concurrently
-without restriction.
+therefore runs sequentially, its moves editing one adjacency in place.
+Distinct graphs can be processed concurrently without restriction.
 """
 from __future__ import annotations
 
@@ -23,15 +23,16 @@ from .dag import (
     Dag,
     DegreeProfile,
     InvalidDagError,
+    adjacency,
     count_paths,
-    degree_vectors,
-    in_adjacency,
     is_on_ham_path,
     require_valid,
+    source_path_counts,
 )
 
 Edge = tuple[int, int]
 Swap = tuple[tuple[Edge, Edge], tuple[Edge, Edge]]  # (removed pair, added pair)
+Adj = list[list[int]]  # 1-based neighbour lists with multiplicity, as from ``adjacency``
 
 
 class MoveError(ValueError):
@@ -61,10 +62,10 @@ def _require_cubic(dag: Dag) -> None:
         raise InvalidDagError(("operation requires a 3-regular graph",))
 
 
-def _chain_root(v: int, in_adj: list[list[int]], outdeg: list[int]) -> int:
+def _chain_root(v: int, outs: Adj, ins: Adj) -> int:
     """Walk the unique in-edge backwards while the tail is outdegree-2."""
-    while outdeg[v] >= 2 and v != 1:
-        v = in_adj[v][0]
+    while len(outs[v]) >= 2 and v != 1:
+        v = ins[v][0]
     return v
 
 
@@ -78,21 +79,18 @@ def tree_sort_order(dag: Dag) -> tuple[int, ...]:
     """
     _require_cubic(dag)
     n = dag.vertex_count
-    in_adj = in_adjacency(dag)
-    outdeg = [0] * (n + 1)
-    for u, _ in dag.edges:
-        outdeg[u] += 1
+    outs, ins = adjacency(dag)
     mu = count_paths(dag).mu
 
     members: dict[int, list[int]] = {}
     roots = []
     for v in range(1, n + 1):
-        if v == 1 or len(in_adj[v]) >= 2:
+        if v == 1 or len(ins[v]) >= 2:
             roots.append(v)
             members[v] = [v]
     for v in range(2, n + 1):
-        if outdeg[v] >= 2:
-            members[_chain_root(v, in_adj, outdeg)].append(v)
+        if len(outs[v]) >= 2:
+            members[_chain_root(v, outs, ins)].append(v)
 
     # members were appended in increasing vertex order, so each block is
     # already internally ordered; a stable sort on the root's count finishes.
@@ -116,33 +114,35 @@ def tree_sort(dag: Dag) -> Dag:
     return out
 
 
-def _replace_edges(dag: Dag, swap: Swap) -> Dag:
+def _apply_swap(outs: Adj, ins: Adj, swap: Swap) -> None:
+    """Edit the neighbour lists in place; every degree stays the same."""
     removed, added = swap
-    edges = list(dag.edges)
-    for e in removed:
-        edges.remove(e)
-    edges.extend(added)
-    return Dag(dag.vertex_count, tuple(edges), dag.profile)
+    for u, v in removed:
+        outs[u].remove(v)
+        ins[v].remove(u)
+    for u, v in added:
+        outs[u].append(v)
+        ins[v].append(u)
 
 
-def _outgoing_swap(dag: Dag, b: int) -> Swap:
-    indeg = [0] * (dag.vertex_count + 1)
-    outs: dict[int, list[int]] = {}
-    for u, v in dag.edges:
-        indeg[v] += 1
-        outs.setdefault(u, []).append(v)
-    if b < 3 or b > dag.vertex_count:
+def _to_dag(outs: Adj, profile: DegreeProfile | None) -> Dag:
+    edges = tuple((u, v) for u in range(1, len(outs)) for v in outs[u])
+    return Dag(len(outs) - 1, edges, profile)
+
+
+def _outgoing_swap(outs: Adj, ins: Adj, b: int) -> Swap:
+    if b < 3 or b > len(outs) - 1:
         raise MoveError(f"vertex {b} has no movable predecessor")
-    if len(outs.get(b, ())) != 2:
+    if len(outs[b]) != 2:
         raise MoveError(f"vertex {b} is not outdegree-2")
     p = b - 1
-    if b in outs.get(p, ()):
+    if b in outs[p]:
         raise MoveError(f"vertex {b} already follows {p}")
-    if len(outs.get(p, ())) != 2:
+    if len(outs[p]) != 2:
         raise MoveError(f"predecessor {p} is not outdegree-2")
-    if indeg[b] != 1:
+    if len(ins[b]) != 1:
         raise MoveError(f"vertex {b} must have a unique in-edge")
-    (ell,) = (u for u, v in dag.edges if v == b)
+    (ell,) = ins[b]
     u1 = min(outs[p])
     return ((p, u1), (ell, b)), ((ell, u1), (p, b))
 
@@ -155,28 +155,27 @@ def outgoing_move(dag: Dag, b: int) -> Dag:
     inside one tree, so every path count is unchanged.
     """
     _require_cubic(dag)
-    return _replace_edges(dag, _outgoing_swap(dag, b))
+    outs, ins = adjacency(dag)
+    _apply_swap(outs, ins, _outgoing_swap(outs, ins, b))
+    return _to_dag(outs, dag.profile)
 
 
-def _incoming_swap(dag: Dag, v: int) -> Swap:
-    in_adj = in_adjacency(dag)
-    outs: dict[int, list[int]] = {}
-    for a, b in dag.edges:
-        outs.setdefault(a, []).append(b)
-    for w in range(3, dag.vertex_count + 1):
-        if len(outs.get(w, ())) == 2 and w not in outs.get(w - 1, ()):
+def _incoming_swap(outs: Adj, ins: Adj, v: int) -> Swap:
+    n = len(outs) - 1
+    for w in range(3, n + 1):
+        if len(outs[w]) == 2 and w not in outs[w - 1]:
             raise MoveError(f"outdegree-2 vertex {w} does not follow its predecessor yet")
-    if v < 3 or v > dag.vertex_count:
+    if v < 3 or v > n:
         raise MoveError(f"vertex {v} has no movable predecessor")
-    for w in range(v + 1, dag.vertex_count + 1):
-        if w not in outs.get(w - 1, ()):
+    for w in range(v + 1, n + 1):
+        if w not in outs[w - 1]:
             raise MoveError(f"later vertex {w} does not follow its predecessor yet")
-    if len(in_adj[v]) != 2:
+    if len(ins[v]) != 2:
         raise MoveError(f"vertex {v} is not indegree-2")
     q = v - 1
-    if q in in_adj[v]:
+    if q in ins[v]:
         raise MoveError(f"vertex {v} already follows {q}")
-    l1, l2 = sorted(in_adj[v])
+    l1, l2 = sorted(ins[v])
     if not l2 < q:
         raise MoveError(f"in-edges of {v} must come from before {q}")
     u = min(outs[q])
@@ -197,12 +196,14 @@ def incoming_move(dag: Dag, v: int) -> Dag:
     loses through u: no count goes down.
     """
     _require_cubic(dag)
-    swap = _incoming_swap(dag, v)
+    outs, ins = adjacency(dag)
+    swap = _incoming_swap(outs, ins, v)
     (l2, _), (q, _) = swap[0]
-    mu = count_paths(dag).mu
+    mu = source_path_counts(ins)
     if mu[l2 - 1] > mu[q - 1]:
         raise MoveError(f"mu({l2}) = {mu[l2 - 1]} exceeds mu({q}) = {mu[q - 1]}")
-    return _replace_edges(dag, swap)
+    _apply_swap(outs, ins, swap)
+    return _to_dag(outs, dag.profile)
 
 
 def hamiltonize(dag: Dag) -> tuple[Dag, MoveLog]:
@@ -220,31 +221,30 @@ def hamiltonize(dag: Dag) -> tuple[Dag, MoveLog]:
     Hamiltonian path.  The checks are explicit and also run under ``-O``.
     """
     _require_cubic(dag)
-    current = tree_sort(dag)
-    mu = count_paths(current).mu
+    start = tree_sort(dag)
+    n = start.vertex_count
+    outs, ins = adjacency(start)  # every move keeps every degree
+    mu = count_paths(start).mu
     log: list[Move] = []
 
     def apply(kind: str, focus: int, swap: Swap) -> None:
-        nonlocal current, mu
-        current = _replace_edges(current, swap)
-        after = count_paths(current).mu
+        nonlocal mu
+        _apply_swap(outs, ins, swap)
+        after = source_path_counts(ins)
         move = Move(kind, focus, swap[0], swap[1], mu, after)
         if not all(a >= b for a, b in zip(after, mu)):
             raise RewriteError(f"{kind} move at {focus} lowered a path count: {move}")
         log.append(move)
         mu = after
 
-    indeg, outdeg = degree_vectors(current)  # every move keeps every degree
-    edgeset = set(current.edges)
-    for b in range(3, current.vertex_count + 1):
-        if outdeg[b] == 2 and (b - 1, b) not in edgeset:
-            apply("outgoing", b, _outgoing_swap(current, b))
+    for b in range(3, n + 1):
+        if len(outs[b]) == 2 and b not in outs[b - 1]:
+            apply("outgoing", b, _outgoing_swap(outs, ins, b))
+    for v in range(n, 2, -1):
+        if len(ins[v]) == 2 and v - 1 not in ins[v]:
+            apply("incoming", v, _incoming_swap(outs, ins, v))
 
-    edgeset = set(current.edges)
-    for v in range(current.vertex_count, 2, -1):
-        if indeg[v] == 2 and (v - 1, v) not in edgeset:
-            apply("incoming", v, _incoming_swap(current, v))
-
-    if not is_on_ham_path(current):
-        raise RewriteError(f"rewrite did not end on a Hamiltonian path: {current.edges}")
-    return current, tuple(log)
+    out = _to_dag(outs, start.profile)
+    if not is_on_ham_path(out):
+        raise RewriteError(f"rewrite did not end on a Hamiltonian path: {out.edges}")
+    return out, tuple(log)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,10 +90,35 @@ def test_budget_exhaustion_flags():
     saved = dict(_F_CACHE)
     _F_CACHE.clear()
     try:
-        sol = solve_block(10, budget=150, use_cache=False)
+        sol = solve_block(10, budget=150)
         assert not sol.proven_optimal
         assert check_assignment(10, sol.assignment) == []
         assert sol.f <= solve_block(10).f
     finally:
         _F_CACHE.clear()
         _F_CACHE.update(saved)
+
+
+def test_finish_rejects_wrong_count_under_optimize():
+    # the witness re-check must be an explicit check that python -O keeps
+    script = (
+        "import sys\n"
+        "from cubicpaths.blocks import _finish, solve_block\n"
+        "if __debug__:\n"
+        "    sys.exit('assertions are still on')\n"
+        "sol = solve_block(6)\n"
+        "try:\n"
+        "    _finish(6, sol.f + 1, sol.assignment, sol.nodes_explored, True)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "does not reproduce its count" in done.stdout

@@ -126,6 +126,14 @@ def test_hamiltonize_property_suite():
         for ell in (2, 3):
             if edge_connectivity_at_least(base, ell):
                 assert edge_connectivity_at_least(out, ell)
+        # the public one-move functions replay the in-place rewrite exactly
+        current = base
+        for m in log:
+            move = outgoing_move if m.kind == "outgoing" else incoming_move
+            assert count_paths(current).mu == m.mu_before
+            current = move(current, m.focus)
+            assert count_paths(current).mu == m.mu_after
+        assert current == out
 
 
 def test_hamiltonize_eight_counterexample(eight_counterexample):
