@@ -43,7 +43,6 @@ from .search import (
     ExtremalReport,
     SearchSpec,
     check_conjecture,
-    double_label_prunable,
     enumerate_tuples,
     family_tuple,
     fibonacci,

@@ -175,6 +175,8 @@ def cmd_search(args) -> int:
         "witnesses": [",".join(map(str, w)) for w in report.witnesses],
         "complete": report.complete,
         "nodes": report.nodes,
+        "dead_prefix_cuts": report.dead_prefix_cuts,
+        "bound_cuts": report.bound_cuts,
     }
     lines = [
         f"max: {report.max_total}",

@@ -1,8 +1,20 @@
-"""Pruned exhaustive search for extremal path counts over arc tuples.
+"""Branch-and-bound search for extremal path counts over arc tuples.
 
-The tuple space for length n is finite (entry i ranges over [i, n]), so
-maxima per connectivity class come from direct enumeration.  Two optional
-prunes discard provably suboptimal tuples:
+The tuple space for length n is finite (entry i ranges over [i, n]) and is
+walked as a tree of prefixes in lexicographic order.  Two cuts drop a child
+prefix before it is visited:
+
+* dead prefix (exact): ``tuples.dead_prefix`` finds a class condition that
+  the fixed entries already break, so no completion is canonical and valid;
+* bound: ``tuple_mu``'s recurrence fixes arc_mu of arcs 1..k+1 from a
+  prefix of length k, and every later arc counts at most as if all open
+  arcs before it had landed.  When that bound on the final total is
+  strictly below the incumbent maximum, no completion can reach it.  Ties
+  survive, so every witness is still found, in the same order.
+
+Every leaf is still admitted only by the full class test, the canonical
+check and the chosen prunes; the cuts only remove tuples, never admit them.
+Two optional prunes discard provably suboptimal tuples:
 
 * ``double-label``: two arcs before position i share the value i; lowering
   one of them to i-1 strictly increases the total.  The prune fires only
@@ -13,18 +25,19 @@ prunes discard provably suboptimal tuples:
   kind; such graphs are dominated via the double-label argument and
   reversal.
 
-Enumeration order is lexicographic and the whole module is deterministic;
-results are reproducible bit-for-bit.
+The whole module is deterministic; results are reproducible bit-for-bit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 from .dag import Dag, count_paths, is_simple, vertex_kinds
 from .tuples import (
     ArcTuple,
     TupleClass,
+    dead_prefix,
     decode,
     is_canonical,
     is_valid,
@@ -43,11 +56,17 @@ class BudgetExceeded(RuntimeError):
 
 
 class Budget:
-    """Node counter with a hard ceiling; None means unlimited."""
+    """Node counter with a hard ceiling (None means unlimited).
+
+    It also counts the child prefixes the walk cut without visiting them,
+    by source: a dead prefix or the bound.
+    """
 
     def __init__(self, limit: int | None = None):
         self.limit = limit
         self.used = 0
+        self.dead_prefix_cuts = 0
+        self.bound_cuts = 0
 
     def spend(self, amount: int = 1) -> None:
         self.used += amount
@@ -91,7 +110,7 @@ class ClosedForm:
     exact_value: int | None  # integer value when the formula is integral at n
     claim: str               # "theorem" or "conjecture"
     tight_claimed: bool
-    equal: bool | None       # search max == exact_value (None if not comparable)
+    equal: bool | None       # search max == exact_value (None if not comparable or incomplete)
     exceeded: bool           # search max exceeds the claimed bound
 
 
@@ -102,22 +121,10 @@ class ExtremalReport:
     witnesses: tuple[tuple[int, ...], ...]
     complete: bool
     nodes: int
+    dead_prefix_cuts: int = 0
+    bound_cuts: int = 0
     closed_form: ClosedForm | None = None
     counterexamples: tuple[tuple[int, ...], ...] = ()
-
-
-def double_label_prunable(t: ArcTuple) -> bool:
-    """Two arcs with positions < i share the value i, for some i."""
-    vals = t.values
-    n = len(vals)
-    for i in range(2, n + 1):
-        early = 0
-        for j in range(1, min(i - 1, n) + 1):
-            if vals[j - 1] == i:
-                early += 1
-                if early >= 2:
-                    return True
-    return False
 
 
 def kind_run_prunable(t: ArcTuple) -> bool:
@@ -155,19 +162,51 @@ def _double_label_prunable_for(t: ArcTuple, spec: SearchSpec) -> bool:
     return False
 
 
-def enumerate_tuples(spec: SearchSpec, budget: Budget | None = None):
+def _total_bound(values: list[int], k: int) -> int:
+    """Upper bound on tuple_mu's total over all tuples starting with values[:k].
+
+    The recurrence fixes arc_mu of arcs 1..k+1 from the prefix.  Arc i > k+1
+    counts at most 1 + the known arc_mu of fixed arcs with value <= i-1 +
+    the bounds of the open arcs k+1..i-1, as if each of them lands before i.
+    """
+    n = len(values)
+    landed = [0] * (n + 1)  # arc_mu of the fixed arcs, summed by value
+    cum = 0  # landed summed over values <= i-1
+    fixed = 0
+    open_bound = 0
+    for i in range(1, n + 1):
+        cum += landed[i - 1]
+        if i <= k:
+            mu = 1 + cum
+            landed[values[i - 1]] += mu
+            fixed += mu
+        else:
+            open_bound += 1 + cum + open_bound
+    return 1 + fixed + open_bound
+
+
+def enumerate_tuples(
+    spec: SearchSpec,
+    budget: Budget | None = None,
+    best: Callable[[], int | None] | None = None,
+):
     """Yield, in lexicographic order, the valid tuples the spec admits.
 
     Merged tuples are enumerated in canonical form only (first entry at
     least the second); the twin tuple decodes to the identical graph.
+    Child prefixes that ``dead_prefix`` rejects are never visited.  When
+    ``best`` is given, it returns the incumbent total (or None), and a child
+    whose ``_total_bound`` is strictly below it is not visited either, so
+    only tuples with a total below the incumbent go missing.
     """
     n = spec.n
     merged = spec.klass is TupleClass.MERGED
+    if budget is None:
+        budget = Budget()
     values = [0] * n
 
     def rec(i: int):
-        if budget is not None:
-            budget.spend()
+        budget.spend()
         if i == n:
             t = ArcTuple(tuple(values), spec.klass)
             if merged and not is_canonical(t):
@@ -180,10 +219,17 @@ def enumerate_tuples(spec: SearchSpec, budget: Budget | None = None):
                 return
             yield t
             return
-        lo = max(i + 1, 2) if merged and i == 0 else i + 1
-        hi = n
-        for v in range(lo, hi + 1):
+        lo = 2 if merged and i == 0 else i + 1
+        for v in range(lo, n + 1):
             values[i] = v
+            if dead_prefix(values, i + 1, spec.klass, spec.connectivity):
+                budget.dead_prefix_cuts += 1
+                continue
+            if best is not None:
+                incumbent = best()
+                if incumbent is not None and _total_bound(values, i + 1) < incumbent:
+                    budget.bound_cuts += 1
+                    continue
             yield from rec(i + 1)
 
     if n >= 1:
@@ -197,7 +243,7 @@ def find_extremal(spec: SearchSpec, budget_limit: int | None = None) -> Extremal
     witnesses: list[tuple[int, ...]] = []
     complete = True
     try:
-        for t in enumerate_tuples(spec, budget):
+        for t in enumerate_tuples(spec, budget, lambda: best):
             total = tuple_mu(t).total
             if best is None or total > best:
                 best = total
@@ -212,6 +258,8 @@ def find_extremal(spec: SearchSpec, budget_limit: int | None = None) -> Extremal
         witnesses=tuple(witnesses),
         complete=complete,
         nodes=budget.used,
+        dead_prefix_cuts=budget.dead_prefix_cuts,
+        bound_cuts=budget.bound_cuts,
     )
 
 
@@ -274,19 +322,13 @@ def check_conjecture(
     exceeded = False
     if report.max_total is not None:
         exceeded = report.max_total > value + 1e-9
-        if exact is not None and tight:
+        # An incomplete maximum is only a lower bound: it can exceed the
+        # bound, but equality with the closed form is not decided.
+        if exact is not None and tight and report.complete:
             equal = report.max_total == exact
     cf = ClosedForm(name, value, exact, claim, tight, equal, exceeded)
     counterexamples = report.witnesses if exceeded else ()
-    return ExtremalReport(
-        spec=spec,
-        max_total=report.max_total,
-        witnesses=report.witnesses,
-        complete=report.complete,
-        nodes=report.nodes,
-        closed_form=cf,
-        counterexamples=counterexamples,
-    )
+    return replace(report, closed_form=cf, counterexamples=counterexamples)
 
 
 FAMILIES = ("wedge", "conn", "2ec", "simple-conn", "simple-2ec")

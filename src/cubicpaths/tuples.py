@@ -16,6 +16,7 @@ values[0] >= values[1].
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -213,6 +214,53 @@ def validity_issues(t: ArcTuple, connectivity: int = 1) -> list[str]:
 
 def is_valid(t: ArcTuple, connectivity: int = 1) -> bool:
     return not validity_issues(t, connectivity)
+
+
+def dead_prefix(
+    values: Sequence[int], k: int, klass: TupleClass, connectivity: int
+) -> bool:
+    """True when entries 1..k of an n-tuple (n = len(values)) decide it invalid.
+
+    Only values[:k] is read; entries k+1..n are taken to lie in their
+    ranges [j, n].  Entry j is at least j, so the arcs that land at labels
+    <= k are all among the first k, and these conditions are decided once
+    entry k is fixed: the canonical merged order (k = 2), the bridge prefix
+    at k, the merged gap count after gap k, and every self-contained
+    interval [a, k].  Each is the prefix form of a rule of is_canonical or
+    validity_issues, so a dead prefix has no canonical valid completion;
+    the converse need not hold.
+    """
+    n = len(values)
+    merged = klass is TupleClass.MERGED
+    if merged and k == 2 and values[0] < values[1]:
+        return True
+    if connectivity == 1:
+        return False
+    if connectivity == 2:
+        return k < n and max(values[:k]) <= k
+    if merged:
+        if 2 <= k < n and k - sum(1 for v in values[:k] if v <= k) < 2:
+            return True
+        lo, hi = 3, n - 1
+    else:
+        lo, hi = 1, n
+    # Every interval [a, k] holds arc k, so it can close only if arc k lands at k.
+    if not lo <= k <= hi or values[k - 1] != k:
+        return False
+    by_value: list[list[int]] = [[] for _ in range(k + 1)]
+    for j in range(1, k + 1):
+        v = values[j - 1]
+        if lo <= v <= k:
+            by_value[v].append(j)
+    cnt = 0
+    mn = k
+    for a in range(k, lo - 1, -1):
+        for j in by_value[a]:
+            cnt += 1
+            mn = min(mn, j)
+        if cnt == k - a + 1 and mn == a and (a, k) != (1, n):
+            return True
+    return False
 
 
 def _boundary_layout(vals: tuple[int, ...]) -> tuple[list[int], list[int]]:

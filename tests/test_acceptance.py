@@ -162,7 +162,7 @@ def test_criterion_06_corollary_maxima():
 
 
 def test_criterion_07_fibonacci_conjecture_support():
-    for n in range(3, 9):
+    for n in range(3, 11):
         r = check_conjecture("fibonacci", n)
         assert r.complete, f"search inexhaustive at n={n}"
         assert not r.closed_form.exceeded, (
@@ -170,7 +170,7 @@ def test_criterion_07_fibonacci_conjecture_support():
         )
         assert r.max_total == r.closed_form.exact_value, n
         assert family_tuple("wedge", n).values in r.witnesses
-    _passed("7 (3-edge-connected maxima equal the Fibonacci form for n=3..8)")
+    _passed("7 (3-edge-connected maxima equal the Fibonacci form for n=3..10)")
 
 
 def test_criterion_08_prune_soundness():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cubicpaths import Dag
+from cubicpaths import Dag, check_conjecture
 from cubicpaths.cli import main
 from cubicpaths.fileio import (
     ParseError,
@@ -163,6 +163,22 @@ def test_search_fibonacci(capsys):
     out = capsys.readouterr().out
     assert "max: 22" in out
     assert "7,3,4,5,6,7,7" in out
+    assert main(["--format", "json", "search", "--n", "6", "--check", "fibonacci"]) == 0
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    r = check_conjecture("fibonacci", 6)
+    assert (outputs["nodes"], outputs["dead_prefix_cuts"], outputs["bound_cuts"]) == (
+        r.nodes,
+        r.dead_prefix_cuts,
+        r.bound_cuts,
+    )
+    assert r.dead_prefix_cuts > 0 and r.bound_cuts > 0
+
+
+def test_search_incomplete_check_leaves_equality_open(capsys):
+    assert main(["--budget", "50", "search", "--n", "7", "--check", "fibonacci"]) == 0
+    out = capsys.readouterr().out
+    assert "equal=None" in out
+    assert "warning: search incomplete (budget exhausted)" in out
 
 
 def test_search_merged_2ec(capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from cubicpaths import (
@@ -7,7 +9,6 @@ from cubicpaths import (
     check_conjecture,
     count_paths,
     decode,
-    double_label_prunable,
     edge_connectivity_at_least,
     encode,
     enumerate_tuples,
@@ -19,12 +20,17 @@ from cubicpaths import (
     tuple_mu,
 )
 from cubicpaths.search import (
+    ALL_PRUNES,
     PRUNE_DOUBLE_LABEL,
     PRUNE_KIND_RUN,
     Budget,
     BudgetExceeded,
+    _double_label_prunable_for,
+    _in_search_class,
+    _total_bound,
     conjecture_spec,
 )
+from cubicpaths.tuples import is_canonical
 
 
 def test_fibonacci_basis():
@@ -39,12 +45,6 @@ def test_enumerate_smallest_spaces():
 def test_enumerate_lexicographic():
     seq = [t.values for t in enumerate_tuples(SearchSpec(4))]
     assert seq == sorted(seq)
-
-
-def test_double_label_examples():
-    assert double_label_prunable(ArcTuple((3, 3, 3)))
-    assert not double_label_prunable(ArcTuple((2, 4, 5, 4, 5)))
-    assert not double_label_prunable(ArcTuple((1,)))
 
 
 def test_kind_run_examples(truncated_tetrahedron):
@@ -80,11 +80,59 @@ def test_find_extremal_reported_examples():
 
 
 def test_budget_flags_incomplete():
-    r = find_extremal(SearchSpec(6, TupleClass.MERGED, 1), budget_limit=50)
+    spec = SearchSpec(6, TupleClass.MERGED, 1)
+    r = find_extremal(spec, budget_limit=find_extremal(spec).nodes - 1)
     assert not r.complete
     with pytest.raises(BudgetExceeded):
         for _ in enumerate_tuples(SearchSpec(5), Budget(3)):
             pass
+
+
+def _in_class_tuples(length: int, klass: TupleClass, conn: int, simple: bool):
+    """Brute force: every canonical tuple of the class, in lexicographic order."""
+    spec = SearchSpec(length, klass, conn, simple)
+    out = []
+    for vals in itertools.product(*(range(i, length + 1) for i in range(1, length + 1))):
+        t = ArcTuple(vals, klass)
+        if is_canonical(t) and _in_search_class(t, spec):
+            out.append(t)
+    return out
+
+
+def _kept_by_prunes(t: ArcTuple, spec: SearchSpec) -> bool:
+    if PRUNE_DOUBLE_LABEL in spec.prunes and _double_label_prunable_for(t, spec):
+        return False
+    return not (PRUNE_KIND_RUN in spec.prunes and kind_run_prunable(t))
+
+
+@pytest.mark.parametrize("conn", (1, 2, 3))
+@pytest.mark.parametrize("klass", (TupleClass.BOUNDARY, TupleClass.MERGED))
+def test_search_matches_brute_oracle(klass, conn):
+    for length in range(1, 8):
+        for simple in (False, True):
+            in_class = _in_class_tuples(length, klass, conn, simple)
+            totals = {t.values: tuple_mu(t).total for t in in_class}
+            for t in in_class:
+                for k in range(1, length + 1):
+                    assert _total_bound(list(t.values), k) >= totals[t.values], (t, k)
+            for prunes in (frozenset(), ALL_PRUNES):
+                spec = SearchSpec(length, klass, conn, simple, prunes)
+                expected = [t.values for t in in_class if _kept_by_prunes(t, spec)]
+                assert [t.values for t in enumerate_tuples(spec)] == expected, spec
+                best = max((totals[v] for v in expected), default=None)
+                r = find_extremal(spec)
+                assert r.complete and r.max_total == best, spec
+                assert r.witnesses == tuple(v for v in expected if totals[v] == best), spec
+
+
+def test_incomplete_check_leaves_equality_open():
+    full = check_conjecture("fibonacci", 7)
+    assert full.complete and full.closed_form.equal
+    for budget in (50, full.nodes - 1):
+        r = check_conjecture("fibonacci", 7, budget_limit=budget)
+        assert not r.complete
+        assert r.closed_form.equal is None
+        assert not r.closed_form.exceeded
 
 
 @pytest.mark.parametrize(
