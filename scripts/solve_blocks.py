@@ -2,8 +2,10 @@
 """Solve the block ladder and keep a JSON cache of proven optima.
 
 Each block size is solved exactly and appended to the cache file as soon as
-it is proven, so an interrupted run resumes where it left off.  The large
-sizes (upper thirties) take a while in total; everything below 30 is fast.
+it is proven, so an interrupted run resumes where it left off.  The proven
+rows of the cache are the ladder that bounds the larger sizes: a proven row
+is trusted as it stands and never solved again.  The large sizes (upper
+thirties) take a while in total; everything below 30 is fast.
 
 Usage:
     python scripts/solve_blocks.py --kmax 40 [--cache data/block_table.json]
@@ -41,16 +43,16 @@ def main() -> int:
     args = ap.parse_args()
 
     cache = load_cache(args.cache)
-    for k, row in cache.items():
-        if row.get("proven"):
-            blocks._F_CACHE.setdefault(k, row["f"])
+    ladder = {k: row["f"] for k, row in cache.items() if row.get("proven")}
 
     for k in range(2, args.kmax + 1):
-        if k in cache and cache[k].get("proven"):
+        if k in ladder:
             continue
         t0 = time.time()
-        sol = blocks.solve_block(k, budget=args.budget)
+        sol = blocks.solve_rung(k, ladder, budget=args.budget)
         dt = time.time() - t0
+        if sol.proven_optimal:
+            ladder[k] = sol.f
         cache[k] = {
             "f": sol.f,
             "g2": round(blocks.growth_factor(sol.f, k), 6),

@@ -15,12 +15,16 @@ to positions b..k embeds into a standalone block of length k-b+1 whose
 incoming dummy arcs dominate every arc entering the suffix, so
 x_k <= x_b * f(k-b+1).  Solving k therefore proceeds bottom-up along the
 ladder f(2), f(3), ...; only proven values are ever used as bounds.
+``solve_rung`` takes that ladder as an argument; ``solve_block`` builds it
+by solving every smaller block itself.
 
 Everything is deterministic: fixed child order, sequential search.
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 Edge = tuple[int, int]
@@ -127,7 +131,7 @@ def _placement_arcs(k: int, kind: list[int], partner: list[int]) -> tuple[Edge, 
     return tuple(sorted(arcs))
 
 
-def _solve(k: int, budget: int | None, ftable: dict[int, int]):
+def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
     """Branch-and-bound core.  Returns (f, arcs, nodes, completed)."""
     INF = k + 2
     partner = [0] * (k + 1)
@@ -241,40 +245,56 @@ def _solve(k: int, budget: int | None, ftable: dict[int, int]):
             rec(nxt, x)
             opens.pop()
 
-    if k == 1:
-        raise ValueError("blocks need k >= 2")
     rec(1, 1)
     completed = not aborted
     return best_f, best_arcs, nodes, completed
 
 
-_F_CACHE: dict[int, int] = {}  # proven optima only
+class BudgetTooSmallError(ValueError):
+    """The node budget ran out before the search reached any feasible assignment."""
+
+
+def solve_rung(k: int, ladder: Mapping[int, int], budget: int | None = None) -> BlockSolution:
+    """Exact maximum of x_k, given proven optima ``ladder[r]`` of smaller blocks.
+
+    Each ladder value bounds the suffixes of its length; a size missing from
+    the ladder falls back to the relaxation bound, which costs nodes but never
+    correctness.  A proven result is proven relative to the ladder's values.
+    The returned assignment re-checks against every constraint from scratch.
+    """
+    if k < 2:
+        raise ValueError("blocks need k >= 2")
+    f, arcs, nodes, completed = _solve(k, budget, ladder)
+    if arcs is None:
+        raise BudgetTooSmallError(
+            f"budget {budget} too small to reach any feasible assignment for k={k}"
+        )
+    if completed and f > _relaxation_bound(1, k - 1, 1):
+        raise RuntimeError(f"relaxation bound fell below the optimum f({k}) = {f}")
+    return _finish(k, f, arcs, nodes, completed)
 
 
 def solve_block(k: int, budget: int | None = None) -> BlockSolution:
     """Exact maximum of x_k, branch-and-bound with the ladder bound.
 
-    Solves every smaller block first (cached across calls); only proven
-    values feed the bound, so an exhausted budget can never corrupt later
-    results (unproven rungs just fall back to the relaxation bound).  The
-    returned assignment re-checks against every constraint from scratch.
+    A pure function of ``(k, budget)``: the ladder is the proven
+    ``solve_block(r, budget).f`` of every r < k, so an exhausted budget can
+    never corrupt a result (an unproven rung just falls back to the
+    relaxation bound).  Results are memoized per ``(k, budget)``, so the
+    smaller blocks are solved once per budget, whatever the call order.
     """
-    if k < 2:
-        raise ValueError("blocks need k >= 2")
+    return _solve_block(k, budget)
+
+
+@functools.cache
+def _solve_block(k: int, budget: int | None) -> BlockSolution:
+    # called positionally only, so each (k, budget) is a single cache entry
+    ladder = {}
     for r in range(2, k):
-        if r in _F_CACHE:
-            continue
-        f, arcs, nodes, completed = _solve(r, budget, _F_CACHE)
-        if completed:
-            _F_CACHE[r] = f
-    f, arcs, nodes, completed = _solve(k, budget, _F_CACHE)
-    if arcs is None:
-        raise RuntimeError(f"budget too small to reach any feasible assignment for k={k}")
-    if completed:
-        if f > _relaxation_bound(1, k - 1, 1):
-            raise RuntimeError(f"relaxation bound fell below the optimum f({k}) = {f}")
-        _F_CACHE[k] = f
-    return _finish(k, f, arcs, nodes, completed)
+        rung = _solve_block(r, budget)
+        if rung.proven_optimal:
+            ladder[r] = rung.f
+    return solve_rung(k, ladder, budget)
 
 
 def _finish(k, f, arcs, nodes, proven) -> BlockSolution:
@@ -357,17 +377,22 @@ def assemble_bound(
     The window must span at least six consecutive sizes: block boundaries
     land on a '10' kind pattern, which three-in-a-row exclusion guarantees
     within five extra steps.  ``f_overrides`` injects known optima (e.g.
-    previously computed values) instead of solving.
+    previously computed values) instead of solving.  Sizes below the window
+    come from ``f_overrides`` too; the others are read off the solved ladder
+    only when some window size was solved, so a fully injected window solves
+    nothing.
     """
     if k_hi < k_lo + 5:
         raise ValueError("window must cover at least 6 consecutive block sizes")
     overrides = f_overrides or {}
     rows = []
+    solved = False
     for k in range(k_lo, k_hi + 1):
         if k in overrides:
             rows.append(GrowthRow(k, overrides[k], growth_factor(overrides[k], k), True))
         else:
             sol = solve_block(k, budget)
+            solved = True
             rows.append(GrowthRow(k, sol.f, growth_factor(sol.f, k), sol.proven_optimal))
     bound_base = max(r.g2 for r in rows)
     argmax_k = min(r.k for r in rows if r.g2 == bound_base)
@@ -375,8 +400,10 @@ def assemble_bound(
     for k in range(2, k_lo):
         if k in overrides:
             known_below[k] = overrides[k]
-        elif k in _F_CACHE:
-            known_below[k] = _F_CACHE[k]
+        elif solved:
+            sol = solve_block(k, budget)  # a memo hit: solved on the way up
+            if sol.proven_optimal:
+                known_below[k] = sol.f
     final_constant = (
         max(known_below.values()) if len(known_below) == k_lo - 2 and k_lo > 2 else None
     )

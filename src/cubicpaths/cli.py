@@ -13,19 +13,18 @@ from pathlib import Path
 
 from . import blocks, fileio, search
 from .dag import (
+    Dag,
     InvalidDagError,
     count_paths,
     validate,
 )
 from .hamilton import RewriteError, hamiltonize
 from .tuples import (
-    ArcTuple,
     InvalidTupleError,
     TupleClass,
     decode,
     encode,
     format_tuple,
-    is_valid,
     parse_tuple,
     tuple_mu,
     validity_issues,
@@ -244,8 +243,6 @@ def cmd_block(args) -> int:
         dummy = [e for e in sol.assignment if e not in real]
         comments = [f"block solution k={args.k}, f={sol.f}"]
         comments += [f"dummy edge {u} {v}" for u, v in dummy]
-        from .dag import Dag
-
         Path(args.graph_out).write_text(
             fileio.write_graph_text(Dag(args.k, tuple(real)), tuple(comments))
         )
@@ -303,7 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Source-to-sink path counting and extremal search on 3-regular DAGs.",
     )
     ap.add_argument("--format", choices=("text", "json"), default="text")
-    ap.add_argument("--budget", type=int, default=None, help="node budget for searches")
+    ap.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help="node budget for searches; block and bound also cap each block size they solve",
+    )
     ap.add_argument("--strict", action="store_true", help="nonzero exit on incomplete results")
     sub = ap.add_subparsers(dest="command", required=True)
 

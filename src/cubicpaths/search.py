@@ -33,12 +33,13 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from .dag import Dag, count_paths, is_simple, vertex_kinds
+from .dag import is_simple, reverse, vertex_kinds
 from .tuples import (
     ArcTuple,
     TupleClass,
     dead_prefix,
     decode,
+    encode,
     is_canonical,
     is_valid,
     tuple_mu,
@@ -376,7 +377,4 @@ def family_tuple(name: str, n: int) -> ArcTuple:
 
 def reversed_tuple(t: ArcTuple) -> ArcTuple:
     """Tuple of the reversed graph (same total by the path bijection)."""
-    from .dag import reverse
-    from .tuples import encode
-
     return encode(reverse(decode(t)))

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -7,8 +8,16 @@ from pathlib import Path
 import pytest
 
 from cubicpaths import assemble_bound, brute_block, growth_factor, solve_block
-from cubicpaths.blocks import BRUTE_LIMIT, check_assignment, recompute_counts
+from cubicpaths.blocks import (
+    BRUTE_LIMIT,
+    BudgetTooSmallError,
+    check_assignment,
+    recompute_counts,
+    solve_rung,
+)
 
+ROOT = Path(__file__).resolve().parent.parent
+TABLE = ROOT / "data" / "block_table.json"
 PAPER_TABLE = {35: 8233, 36: 11117, 37: 14033, 38: 17293, 39: 22781, 40: 28726}
 PAPER_G2 = {35: 1.6740, 36: 1.6779, 37: 1.6756, 38: 1.6713, 39: 1.6729, 40: 1.6707}
 
@@ -85,18 +94,77 @@ def test_assemble_bound_small_range():
 
 
 def test_budget_exhaustion_flags():
-    from cubicpaths.blocks import _F_CACHE
+    sol = solve_block(10, budget=150)
+    assert not sol.proven_optimal
+    assert check_assignment(10, sol.assignment) == []
+    assert sol.f <= solve_block(10).f
 
-    saved = dict(_F_CACHE)
-    _F_CACHE.clear()
-    try:
-        sol = solve_block(10, budget=150)
-        assert not sol.proven_optimal
-        assert check_assignment(10, sol.assignment) == []
-        assert sol.f <= solve_block(10).f
-    finally:
-        _F_CACHE.clear()
-        _F_CACHE.update(saved)
+
+def test_budget_too_small_is_a_value_error():
+    with pytest.raises(BudgetTooSmallError):
+        solve_block(10, budget=1)
+    assert issubclass(BudgetTooSmallError, ValueError)
+
+
+def _fresh_process(script: str, *flags: str) -> str:
+    """Stdout of ``script`` run by a new interpreter, which shares no memo."""
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_solve_block_does_not_depend_on_call_history():
+    solve_block(17)
+    sol = solve_block(18, budget=130_000)
+    fresh = _fresh_process(
+        "from cubicpaths import solve_block\n"
+        "sol = solve_block(18, budget=130_000)\n"
+        "print(sol.f, sol.proven_optimal, sol.nodes_explored)\n"
+    )
+    assert fresh.split() == ["137", "True", "123671"]
+    assert (sol.f, sol.proven_optimal, sol.nodes_explored) == (137, True, 123_671)
+
+
+def test_injected_window_does_not_depend_on_call_history():
+    overrides = {8: 11, 9: 15, 10: 19, 11: 23, 12: 31, 13: 39}
+    assert assemble_bound(8, 13, f_overrides=overrides).final_block_constant is None
+    solve_block(7)
+    assert assemble_bound(8, 13, f_overrides=overrides).final_block_constant is None
+
+
+def test_ladder_solves_each_size_once_and_matches_the_table():
+    out = _fresh_process(
+        "from cubicpaths import blocks\n"
+        "calls = []\n"
+        "solve = blocks._solve\n"
+        "def counted(k, budget, ftable):\n"
+        "    calls.append(k)\n"
+        "    return solve(k, budget, ftable)\n"
+        "blocks._solve = counted\n"
+        "for k in range(2, 23):\n"
+        "    sol = blocks.solve_block(k)\n"
+        "    print(k, sol.f, sol.nodes_explored, sol.proven_optimal)\n"
+        "print(*calls)\n"
+    )
+    *rows, calls = out.splitlines()
+    assert calls.split() == [str(k) for k in range(2, 23)]
+    table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
+    solved = {}
+    for line in rows:
+        k, f, nodes, proven = line.split()
+        solved[int(k)] = (int(f), int(nodes), proven == "True")
+    assert solved == {k: (table[k]["f"], table[k]["nodes"], True) for k in range(2, 23)}
+    assert sum(nodes for _, nodes, _ in solved.values()) == 2_644_092
+    for k in range(2, 23):
+        ladder = {r: table[r]["f"] for r in range(2, k)}
+        sol = solve_rung(k, ladder)
+        assert (sol.f, sol.nodes_explored, sol.proven_optimal) == solved[k]
 
 
 def test_finish_rejects_wrong_count_under_optimize():
@@ -112,13 +180,26 @@ def test_finish_rejects_wrong_count_under_optimize():
         "except RuntimeError as exc:\n"
         "    print(exc)\n"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
+    assert "does not reproduce its count" in _fresh_process(script, "-O")
+
+
+def test_solve_blocks_script_extends_a_seeded_table(tmp_path):
+    table = json.loads(TABLE.read_text())
+    cache = tmp_path / "table.json"
+    seeded = {str(k): table[str(k)] for k in range(2, 11)}
+    cache.write_text(json.dumps(seeded))
+    script = ROOT / "scripts" / "solve_blocks.py"
     done = subprocess.run(
-        [sys.executable, "-O", "-c", script],
+        [sys.executable, str(script), "--kmax", "12", "--cache", str(cache)],
         capture_output=True,
         text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert "does not reproduce its count" in done.stdout
+    grown = json.loads(cache.read_text())
+    assert sorted(grown, key=int) == [str(k) for k in range(2, 13)]
+    assert {k: grown[k] for k in seeded} == seeded
+    for k in ("11", "12"):
+        assert {key: grown[k][key] for key in ("f", "nodes", "proven")} == {
+            key: table[k][key] for key in ("f", "nodes", "proven")
+        }

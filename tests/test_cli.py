@@ -202,6 +202,16 @@ def test_block_command(capsys):
     assert "f(8) = 11" in out
 
 
+@pytest.mark.parametrize(
+    "argv", (["block", "--k", "10"], ["bound", "--range", "6", "11"])
+)
+def test_block_budget_too_small_is_an_error_line(argv, capsys):
+    assert main(["--budget", "1", *argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: budget 1 too small to reach any feasible assignment")
+
+
 def test_block_graph_out(tmp_path, capsys):
     out_path = tmp_path / "block.graph"
     assert main(["block", "--k", "6", "--graph-out", str(out_path)]) == 0

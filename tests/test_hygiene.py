@@ -1,0 +1,68 @@
+"""Static checks over the package source, with the standard library's ``ast``.
+
+* no module-level mutable container: state shared by every caller in the
+  process makes results depend on call history;
+* no ``assert`` statement: ``python -O`` strips it, so a guarantee must be
+  an explicit check;
+* no unused import outside ``__init__.py`` (which imports to re-export).
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cubicpaths"
+MODULES = sorted(PACKAGE.glob("*.py"))
+CONTAINER_CALLS = {"dict", "list", "set"}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _is_mutable_container(node: ast.expr | None) -> bool:
+    if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)):
+        return True
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in CONTAINER_CALLS
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_level_mutable_container(path):
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in _tree(path).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_mutable_container(node.value)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_import(path):
+    tree = _tree(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
