@@ -282,8 +282,16 @@ def solve_block(k: int, budget: int | None = None) -> BlockSolution:
     never corrupt a result (an unproven rung just falls back to the
     relaxation bound).  Results are memoized per ``(k, budget)``, so the
     smaller blocks are solved once per budget, whatever the call order.
+    A budget too small for some rung raises ``BudgetTooSmallError`` naming k.
     """
-    return _solve_block(k, budget)
+    try:
+        return _solve_block(k, budget)
+    except BudgetTooSmallError as exc:
+        # The rung that ran out is in exc; going on up the ladder instead
+        # would re-solve every failing rung, since the cache keeps no errors.
+        raise BudgetTooSmallError(
+            f"budget {budget} too small to reach any feasible assignment for k={k}"
+        ) from exc
 
 
 @functools.cache

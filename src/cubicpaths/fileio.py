@@ -32,6 +32,7 @@ def parse_graph_text(text: str) -> Dag:
     """Parse a graph file; the degree profile is inferred from the degrees."""
     vertices: int | None = None
     edges: list[tuple[int, int]] = []
+    edge_lines: list[int] = []
     problems: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -50,14 +51,20 @@ def parse_graph_text(text: str) -> Dag:
                 continue
             if u >= v:
                 problems.append(f"line {lineno}: edge {u} {v} must have tail < head")
-            elif vertices is not None and not (1 <= u < v <= vertices):
-                problems.append(f"line {lineno}: edge {u} {v} outside 1..{vertices}")
             else:
                 edges.append((u, v))
+                edge_lines.append(lineno)
         else:
             problems.append(f"line {lineno}: unrecognized line {line!r}")
     if vertices is None:
         problems.append("missing 'vertices <N>' line")
+    else:
+        # checked after the whole file is read, so line order does not matter
+        problems.extend(
+            f"line {lineno}: edge {u} {v} outside 1..{vertices}"
+            for lineno, (u, v) in zip(edge_lines, edges)
+            if not 1 <= u < v <= vertices
+        )
     if problems:
         raise ParseError(tuple(problems))
     return Dag(vertices, tuple(edges), infer_profile(vertices, edges))

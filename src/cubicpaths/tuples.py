@@ -13,6 +13,10 @@ decodes to a boundary graph on 2n+2 vertices whose first two and last two
 vertices are then fused into a degree-3 source and sink.  Fusing makes the
 first two entries interchangeable, so canonical merged tuples keep
 values[0] >= values[1].
+
+Connectivity 2 and 3 are rules on prefixes: a tuple is valid when no
+rule is broken at any prefix 1..k, and the search cuts prefixes with the
+same per-prefix function.
 """
 from __future__ import annotations
 
@@ -104,149 +108,43 @@ def canonicalize(t: ArcTuple) -> ArcTuple:
     return t
 
 
-def _bridge_prefix(vals: tuple[int, ...]) -> int | None:
-    """Smallest k < n with values[j] <= k for all j <= k, if any.
-
-    Such a k marks an initial segment joined to the rest by one path edge.
-    """
-    n = len(vals)
-    running_max = 0
-    for k in range(1, n):
-        running_max = max(running_max, vals[k - 1])
-        if running_max <= k:
-            return k
-    return None
-
-
-def _self_contained_interval(
-    vals: tuple[int, ...], lo: int, hi: int | None = None
-) -> tuple[int, int] | None:
-    """First label interval [a, k] within [lo, hi] equal to {j : v_j in [a, k]}.
-
-    Arcs with labels in such an interval begin and end inside it, so only
-    the two boundary path edges attach it to the rest of the graph.  The
-    full interval [1, n] is the whole graph and never counts.
-
-    The member set {j : v_j in [a, k]} equals [a..k] exactly when it has
-    k-a+1 elements whose minimum is a and maximum is k, which an extending
-    scan maintains in constant time per step.
-    """
-    n = len(vals)
-    if hi is None:
-        hi = n
-    by_value: list[list[int]] = [[] for _ in range(n + 1)]
-    for j, v in enumerate(vals, 1):
-        by_value[v].append(j)
-    for a in range(lo, hi + 1):
-        cnt = 0
-        mn = n + 1
-        mx = 0
-        for k in range(a, hi + 1):
-            for j in by_value[k]:
-                cnt += 1
-                if j < mn:
-                    mn = j
-                if j > mx:
-                    mx = j
-            if a == 1 and k == n:
-                continue
-            if cnt == k - a + 1 and mn == a and mx == k:
-                return (a, k)
-    return None
-
-
-def validity_issues(t: ArcTuple, connectivity: int = 1) -> list[str]:
-    """Class invariants plus the tuple-level connectivity conditions.
-
-    connectivity 1 asks only for a decodable member of the class (all of
-    which are connected via the Hamiltonian path); 2 excludes bridges;
-    3 applies the interval conditions that encode 3-edge connectivity.
-    """
-    if connectivity not in (1, 2, 3):
-        raise ValueError("connectivity must be 1, 2 or 3")
-    out = class_issues(t)
-    if out or connectivity == 1:
-        return out
-    vals = t.values
-    n = len(vals)
-    if connectivity == 2:
-        k = _bridge_prefix(vals)
-        if k is not None:
-            out.append(
-                f"labels 1..{k} all land by {k}: the path edge after them is a bridge"
-            )
-        return out
-    # connectivity == 3; the interval and prefix conditions below subsume
-    # the bridge condition for their respective classes.
-    if t.klass is TupleClass.BOUNDARY:
-        hit = _self_contained_interval(vals, 1)
-        if hit is not None:
-            out.append(
-                f"label interval [{hit[0]}, {hit[1]}] is self-contained: "
-                "only two edges cross its boundary"
-            )
-        return out
-    # Merged class.  The fused source absorbs the boundary after gap 1, so
-    # cut boundaries sit after gaps 2..n-1; each needs >= 2 crossing arcs
-    # on top of its path edge.
-    by_value = [0] * (n + 1)
-    for v in vals:
-        by_value[v] += 1
-    count_le = by_value[1]
-    for k in range(2, n):
-        count_le += by_value[k]
-        if k - count_le < 2:
-            out.append(
-                f"only {k - count_le} arcs cross the boundary after gap {k}: "
-                "two deletions disconnect the prefix"
-            )
-            return out
-    # Interior intervals cannot touch the fused source or sink, which pins
-    # their label range to [3, n-1].
-    hit = _self_contained_interval(vals, 3, n - 1)
-    if hit is not None:
-        out.append(
-            f"label interval [{hit[0]}, {hit[1]}] is self-contained: "
-            "only two edges cross its boundary"
-        )
-    return out
-
-
-def is_valid(t: ArcTuple, connectivity: int = 1) -> bool:
-    return not validity_issues(t, connectivity)
-
-
-def dead_prefix(
+def _prefix_issue(
     values: Sequence[int], k: int, klass: TupleClass, connectivity: int
-) -> bool:
-    """True when entries 1..k of an n-tuple (n = len(values)) decide it invalid.
+) -> str | None:
+    """The connectivity rule that entries 1..k already break, or None.
 
-    Only values[:k] is read; entries k+1..n are taken to lie in their
-    ranges [j, n].  Entry j is at least j, so the arcs that land at labels
-    <= k are all among the first k, and these conditions are decided once
-    entry k is fixed: the canonical merged order (k = 2), the bridge prefix
-    at k, the merged gap count after gap k, and every self-contained
-    interval [a, k].  Each is the prefix form of a rule of is_canonical or
-    validity_issues, so a dead prefix has no canonical valid completion;
-    the converse need not hold.
+    Only values[:k] is read.  Entry j is at least j, so the arcs that land
+    at labels <= k are all among the first k, and each rule is decided
+    once entry k is fixed: the bridge prefix at k, the merged gap count
+    after gap k, and every self-contained interval [a, k].
     """
     n = len(values)
-    merged = klass is TupleClass.MERGED
-    if merged and k == 2 and values[0] < values[1]:
-        return True
     if connectivity == 1:
-        return False
+        return None
     if connectivity == 2:
-        return k < n and max(values[:k]) <= k
-    if merged:
-        if 2 <= k < n and k - sum(1 for v in values[:k] if v <= k) < 2:
-            return True
-        lo, hi = 3, n - 1
+        if k < n and max(values[:k]) <= k:
+            return f"labels 1..{k} all land by {k}: the path edge after them is a bridge"
+        return None
+    # connectivity == 3; the gap and interval rules subsume the bridge rule.
+    if klass is TupleClass.MERGED:
+        # The fused source absorbs the boundary after gap 1, so cut
+        # boundaries sit after gaps 2..n-1; each needs >= 2 crossing arcs
+        # on top of its path edge.
+        if 2 <= k < n:
+            crossing = k - sum(1 for v in values[:k] if v <= k)
+            if crossing < 2:
+                return (
+                    f"only {crossing} arcs cross the boundary after gap {k}: "
+                    "two deletions disconnect the prefix"
+                )
+        lo, hi = 3, n - 1  # interior intervals avoid the fused source and sink
     else:
         lo, hi = 1, n
-    # Every interval [a, k] holds arc k, so it can close only if arc k lands at k.
+    # Arcs labelled in an interval [a, k] equal to {j : v_j in [a, k]} stay
+    # inside it, so two path edges attach it to the rest ([1, n] is the whole
+    # graph); [a, k] holds arc k, so it closes only if arc k lands at k.
     if not lo <= k <= hi or values[k - 1] != k:
-        return False
+        return None
     by_value: list[list[int]] = [[] for _ in range(k + 1)]
     for j in range(1, k + 1):
         v = values[j - 1]
@@ -259,8 +157,50 @@ def dead_prefix(
             cnt += 1
             mn = min(mn, j)
         if cnt == k - a + 1 and mn == a and (a, k) != (1, n):
-            return True
-    return False
+            return (
+                f"label interval [{a}, {k}] is self-contained: "
+                "only two edges cross its boundary"
+            )
+    return None
+
+
+def validity_issues(t: ArcTuple, connectivity: int = 1) -> list[str]:
+    """Class invariants, then the first connectivity rule a prefix breaks.
+
+    connectivity 1 asks only for a decodable member of the class (all of
+    which are connected via the Hamiltonian path); 2 excludes bridges; 3
+    encodes 3-edge connectivity.  A tuple in the class is valid when no
+    prefix 1..k breaks a rule, the test ``dead_prefix`` cuts the search with.
+    """
+    if connectivity not in (1, 2, 3):
+        raise ValueError("connectivity must be 1, 2 or 3")
+    out = class_issues(t)
+    if out or connectivity == 1:
+        return out
+    for k in range(1, len(t) + 1):
+        issue = _prefix_issue(t.values, k, t.klass, connectivity)
+        if issue is not None:
+            return [issue]
+    return []
+
+
+def is_valid(t: ArcTuple, connectivity: int = 1) -> bool:
+    return not validity_issues(t, connectivity)
+
+
+def dead_prefix(
+    values: Sequence[int], k: int, klass: TupleClass, connectivity: int
+) -> bool:
+    """True when entries 1..k of an n-tuple (n = len(values)) decide it invalid.
+
+    Only values[:k] is read.  The prefix is dead when it breaks the
+    canonical merged order (k = 2) or the connectivity rule that
+    ``validity_issues`` applies at k, so a dead prefix has no canonical
+    valid completion; the converse need not hold.
+    """
+    if klass is TupleClass.MERGED and k == 2 and values[0] < values[1]:
+        return True
+    return _prefix_issue(values, k, klass, connectivity) is not None
 
 
 def _boundary_layout(vals: tuple[int, ...]) -> tuple[list[int], list[int]]:

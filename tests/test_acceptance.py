@@ -113,6 +113,15 @@ def test_criterion_04_connectivity_oracles():
             if not structural:
                 assert witness is not None
             assert is_valid(t, 3) == brute, t.values
+            assert is_valid(t, 2) == edge_connectivity_at_least(g, 2), t.values
+            checked += 1
+    for length in range(1, 8):  # boundary graphs on up to 14 vertices
+        for t in boundary_tuples(length):
+            g = decode(t)
+            # one source-sink edge closes a boundary graph into a 3-regular one
+            closed = Dag(g.vertex_count, g.edges + ((1, g.vertex_count),))
+            assert is_valid(t, 2) == edge_connectivity_at_least(g, 2), t.values
+            assert is_valid(t, 3) == edge_connectivity_at_least(closed, 3), t.values
             checked += 1
     _passed(f"4 (connectivity oracles agree on {checked} graphs)")
 

@@ -101,7 +101,7 @@ def test_budget_exhaustion_flags():
 
 
 def test_budget_too_small_is_a_value_error():
-    with pytest.raises(BudgetTooSmallError):
+    with pytest.raises(BudgetTooSmallError, match=r"for k=10$"):
         solve_block(10, budget=1)
     assert issubclass(BudgetTooSmallError, ValueError)
 

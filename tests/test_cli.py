@@ -56,6 +56,20 @@ def test_graph_parse_diagnostics():
     msgs = exc.value.diagnostics
     assert any("line 2" in m for m in msgs)
     assert any("line 3" in m for m in msgs)
+    # an edge line before the vertices line is range-checked all the same
+    late = (("edge 1 99\nvertices 4\nedge 1 2\n", "1 99"), ("edge 0 2\nvertices 2\n", "0 2"))
+    for text, bad in late:
+        with pytest.raises(ParseError, match=f"line 1: edge {bad} outside 1..") as exc:
+            parse_graph_text(text)
+        assert len(exc.value.diagnostics) == 1
+
+
+def test_count_edge_before_vertices_is_a_parse_error(tmp_path, capsys):
+    p = tmp_path / "late.graph"
+    p.write_text("edge 1 99\nvertices 4\nedge 1 2\n")
+    assert main(["count", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:\nline 1: edge 1 99 outside 1..4")
 
 
 def test_report_json_roundtrips_byte_identically():
@@ -210,6 +224,8 @@ def test_block_budget_too_small_is_an_error_line(argv, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: budget 1 too small to reach any feasible assignment")
+    # the requested block (bound: the window's first), not the rung that ran out
+    assert err[0].endswith(f"for k={argv[2]}")
 
 
 def test_block_graph_out(tmp_path, capsys):

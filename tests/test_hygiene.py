@@ -4,7 +4,9 @@
   process makes results depend on call history;
 * no ``assert`` statement: ``python -O`` strips it, so a guarantee must be
   an explicit check;
-* no unused import outside ``__init__.py`` (which imports to re-export).
+* no unused import outside ``__init__.py`` (which imports to re-export);
+* no dead private helper: every module-level ``def _name`` is referenced
+  somewhere in the package outside its own body.
 """
 import ast
 from pathlib import Path
@@ -66,3 +68,22 @@ def test_no_unused_import(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_no_dead_private_helper():
+    trees = {path.name: _tree(path) for path in MODULES}
+    dead = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")):
+                continue
+            own = {id(node) for node in ast.walk(fn)}
+            referenced = any(
+                id(node) not in own
+                and fn.name in (getattr(node, "id", None), getattr(node, "attr", None))
+                for other in trees.values()
+                for node in ast.walk(other)
+            )
+            if not referenced:
+                dead.append(f"{module}:{fn.lineno} {fn.name}")
+    assert dead == []
