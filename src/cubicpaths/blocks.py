@@ -9,6 +9,9 @@ least two real vertices must be crossed by a third edge on top of its two
 path edges.  ``solve_block`` maximizes x_k exactly by depth-first
 branch-and-bound over arc placements in left-to-right vertex order;
 ``brute_block`` is the independent exhaustive oracle for small k.
+Both hold a placement in one ``partner`` array: vertex c is incoming iff
+``partner[c] < c`` (a source before it), outgoing otherwise (its target, or
+k+2 for the dummy sink).
 
 The admissible upper bound used for pruning: a completed solution restricted
 to positions b..k embeds into a standalone block of length k-b+1 whose
@@ -115,36 +118,42 @@ def _relaxation_bound(x: int, r: int, n_open: int) -> int:
     return (x + r) * (1 << ((r + min(n_open, r)) // 2))
 
 
-def _placement_arcs(k: int, kind: list[int], partner: list[int]) -> tuple[Edge, ...]:
+def _placement_arcs(k: int, partner: list[int]) -> tuple[Edge, ...]:
     """Every unit arc of a full placement: path edges plus each extra arc.
 
-    ``kind[c]`` is 1 for an incoming vertex c, whose extra arc comes from
-    ``partner[c]`` (0 = dummy source); an outgoing vertex with no partner
-    (``k + 2``) sends its arc to the dummy sink.
+    Vertex c is incoming iff ``partner[c] < c``: its extra arc comes from
+    ``partner[c]`` (0 = dummy source).  An outgoing vertex points at its
+    target, or at ``k + 2`` when its arc goes to the dummy sink.
     """
     arcs: list[Edge] = [(i, i + 1) for i in range(0, k + 1)]
     for c in range(1, k + 1):
-        if kind[c] == 1:
-            arcs.append((partner[c], c))
-        elif partner[c] == k + 2:
+        p = partner[c]
+        if p < c:
+            arcs.append((p, c))
+        elif p == k + 2:
             arcs.append((c, k + 1))
     return tuple(sorted(arcs))
 
 
+class _BudgetSpent(Exception):
+    """The node budget ran out; raised out of the search and caught once."""
+
+
 def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
-    """Branch-and-bound core.  Returns (f, arcs, nodes, completed)."""
+    """Branch-and-bound core.  Returns (f, arcs, nodes, completed).
+
+    The state is ``partner`` and ``opens``, the open tails (source, count) in
+    placement order.  The dummy source (0, 1) is a tail that never closes: it
+    sorts after every real tail and is no open arc to the relaxation bound.
+    """
     INF = k + 2
     partner = [0] * (k + 1)
-    kind = [0] * (k + 1)
     partner[1] = INF  # vertex 1 is forced outgoing: its slots are path+path+out
-    xs = [0] * (k + 1)
-    xs[1] = 1
-    opens: list[tuple[int, int]] = [(1, 1)]
+    opens: list[tuple[int, int]] = [(0, 1), (1, 1)]
 
     best_f = 0
     best_arcs: tuple[Edge, ...] | None = None
     nodes = 0
-    aborted = False
 
     def bad_interval(j: int) -> bool:
         # partner[j] is already set to a real source; any self-contained
@@ -167,87 +176,61 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
         return False
 
     def rec(pos: int, x: int) -> None:
-        nonlocal best_f, best_arcs, nodes, aborted
-        if aborted:
-            return
+        nonlocal best_f, best_arcs, nodes
         nxt = pos + 1
         if nxt == k:
             # final vertex: forced incoming; evaluate every usable source
             nodes += 1
             if budget is not None and nodes > budget:
-                aborted = True
-                return
-            kind[nxt] = 1
+                raise _BudgetSpent
             for p, v in opens:
                 if p <= nxt - 2 and x + v > best_f:
                     partner[nxt] = p
                     partner[p] = nxt
-                    if not bad_interval(nxt):
+                    if p == 0 or not bad_interval(nxt):
                         best_f = x + v
-                        best_arcs = _placement_arcs(k, kind, partner)
+                        best_arcs = _placement_arcs(k, partner)
                     partner[p] = INF
-            if x + 1 > best_f:
-                partner[nxt] = 0
-                best_f = x + 1
-                best_arcs = _placement_arcs(k, kind, partner)
-            kind[nxt] = 0
             return
 
         fb = ftable.get(k - pos)
-        # children in decreasing immediate-count order
+        # incoming children in decreasing immediate-count order, dummy last
         usable = [(v, idx) for idx, (p, v) in enumerate(opens) if p <= nxt - 2]
-        usable.sort(key=lambda t: (-t[0], -t[1]))
+        usable.sort(reverse=True)
         for v, idx in usable:
             nodes += 1
             if budget is not None and nodes > budget:
-                aborted = True
-                return
+                raise _BudgetSpent
             nx = x + v
-            ub = nx * fb if fb is not None else _relaxation_bound(nx, k - nxt, len(opens))
+            ub = nx * fb if fb is not None else _relaxation_bound(nx, k - nxt, len(opens) - 1)
             if ub <= best_f:
                 continue
             p, _ = opens[idx]
-            kind[nxt] = 1
             partner[nxt] = p
             partner[p] = nxt
-            if not bad_interval(nxt):
+            if p == 0:
+                rec(nxt, nx)
+            elif not bad_interval(nxt):
                 del opens[idx]
                 rec(nxt, nx)
                 opens.insert(idx, (p, v))
             partner[p] = INF
-            kind[nxt] = 0
-            if aborted:
-                return
-        # incoming from the dummy source
-        nodes += 1
-        if budget is not None and nodes > budget:
-            aborted = True
-            return
-        nx = x + 1
-        ub = nx * fb if fb is not None else _relaxation_bound(nx, k - nxt, len(opens))
-        if ub > best_f:
-            kind[nxt] = 1
-            partner[nxt] = 0
-            rec(nxt, nx)
-            kind[nxt] = 0
-            if aborted:
-                return
         # outgoing
         nodes += 1
         if budget is not None and nodes > budget:
-            aborted = True
-            return
-        ub = x * fb if fb is not None else _relaxation_bound(x, k - nxt, len(opens) + 1)
+            raise _BudgetSpent
+        ub = x * fb if fb is not None else _relaxation_bound(x, k - nxt, len(opens))
         if ub > best_f:
-            kind[nxt] = 0
             partner[nxt] = INF
             opens.append((nxt, x))
             rec(nxt, x)
             opens.pop()
 
-    rec(1, 1)
-    completed = not aborted
-    return best_f, best_arcs, nodes, completed
+    try:
+        rec(1, 1)
+    except _BudgetSpent:
+        return best_f, best_arcs, nodes, False
+    return best_f, best_arcs, nodes, True
 
 
 class BudgetTooSmallError(ValueError):
@@ -321,7 +304,6 @@ def brute_block(k: int) -> BlockSolution:
         raise ValueError(f"brute_block handles 2 <= k <= {BRUTE_LIMIT}")
     INF = k + 2
     partner = [0] * (k + 1)
-    kind = [0] * (k + 1)
     partner[1] = INF
     opens: list[tuple[int, int]] = [(1, 1)]
     best = [-1, None, 0]  # f, arcs, leaves
@@ -343,16 +325,14 @@ def brute_block(k: int) -> BlockSolution:
             best[2] += 1
             if x > best[0]:
                 best[0] = x
-                best[1] = _placement_arcs(k, kind, partner)
+                best[1] = _placement_arcs(k, partner)
             return
         nxt = pos + 1
         if nxt < k:
-            kind[nxt] = 0
             partner[nxt] = INF
             opens.append((nxt, x))
             rec(nxt, x)
             opens.pop()
-        kind[nxt] = 1
         partner[nxt] = 0
         rec(nxt, x + 1)
         for idx in range(len(opens)):
@@ -366,7 +346,6 @@ def brute_block(k: int) -> BlockSolution:
                 rec(nxt, x + v)
                 opens.insert(idx, (p, v))
             partner[p] = INF
-        kind[nxt] = 0
         partner[nxt] = 0
 
     rec(1, 1)

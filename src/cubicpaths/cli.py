@@ -12,15 +12,9 @@ import sys
 from pathlib import Path
 
 from . import blocks, fileio, search
-from .dag import (
-    Dag,
-    InvalidDagError,
-    count_paths,
-    validate,
-)
+from .dag import Dag, count_paths, validate
 from .hamilton import RewriteError, hamiltonize
 from .tuples import (
-    InvalidTupleError,
     TupleClass,
     decode,
     encode,
@@ -68,12 +62,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_hamiltonize(args) -> int:
-    dag = _read_graph(args.file)
-    try:
-        result, log = hamiltonize(dag)
-    except (InvalidDagError, RewriteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL
+    result, log = hamiltonize(_read_graph(args.file))
     total_after = count_paths(result).total
     # the first move starts from the tree-sorted counts; no move, no change
     total_before = log[0].mu_before[-1] if log else total_after
@@ -104,56 +93,51 @@ def cmd_hamiltonize(args) -> int:
 
 def cmd_tuple(args) -> int:
     klass = _tuple_class(args.klass)
-    try:
-        if args.verb == "decode":
-            t = parse_tuple(args.value, klass)
-            dag = decode(t)
-            text = fileio.write_graph_text(dag, (f"decoded from {format_tuple(t)} ({args.klass})",))
-            if args.out:
-                Path(args.out).write_text(text)
-                print(f"wrote {args.out}")
-            else:
-                sys.stdout.write(text)
-            return OK
-        if args.verb == "encode":
-            dag = _read_graph(args.value)
-            t = encode(dag)
-            doc = fileio.make_report(
-                "tuple-encode",
-                {"file": args.value},
-                {"tuple": format_tuple(t), "class": t.klass.value},
-            )
-            _emit(args, doc, [f"tuple: {format_tuple(t)}", f"class: {t.klass.value}"])
-            return OK
-        if args.verb == "mu":
-            t = parse_tuple(args.value, klass)
-            am = tuple_mu(t)
-            doc = fileio.make_report(
-                "tuple-mu",
-                {"tuple": format_tuple(t), "class": args.klass},
-                {"arc_mu": list(am.arc_mu), "total": am.total},
-            )
-            _emit(
-                args,
-                doc,
-                ["arc_mu: " + " ".join(str(m) for m in am.arc_mu), f"total: {am.total}"],
-            )
-            return OK
-        if args.verb == "validate":
-            t = parse_tuple(args.value, klass)
-            issues = validity_issues(t, args.conn)
-            doc = fileio.make_report(
-                "tuple-validate",
-                {"tuple": format_tuple(t), "class": args.klass, "connectivity": args.conn},
-                {"valid": not issues, "issues": issues},
-            )
-            lines = [f"valid: {str(not issues).lower()}"] + [f"issue: {s}" for s in issues]
-            _emit(args, doc, lines)
-            return OK if not issues else FAIL
-    except (InvalidTupleError, InvalidDagError, fileio.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL
-    raise AssertionError("unreachable")
+    if args.verb == "decode":
+        t = parse_tuple(args.value, klass)
+        dag = decode(t)
+        text = fileio.write_graph_text(dag, (f"decoded from {format_tuple(t)} ({args.klass})",))
+        if args.out:
+            Path(args.out).write_text(text)
+            print(f"wrote {args.out}")
+        else:
+            sys.stdout.write(text)
+        return OK
+    if args.verb == "encode":
+        dag = _read_graph(args.value)
+        t = encode(dag)
+        doc = fileio.make_report(
+            "tuple-encode",
+            {"file": args.value},
+            {"tuple": format_tuple(t), "class": t.klass.value},
+        )
+        _emit(args, doc, [f"tuple: {format_tuple(t)}", f"class: {t.klass.value}"])
+        return OK
+    if args.verb == "mu":
+        t = parse_tuple(args.value, klass)
+        am = tuple_mu(t)
+        doc = fileio.make_report(
+            "tuple-mu",
+            {"tuple": format_tuple(t), "class": args.klass},
+            {"arc_mu": list(am.arc_mu), "total": am.total},
+        )
+        _emit(
+            args,
+            doc,
+            ["arc_mu: " + " ".join(str(m) for m in am.arc_mu), f"total: {am.total}"],
+        )
+        return OK
+    # validate, the one verb left
+    t = parse_tuple(args.value, klass)
+    issues = validity_issues(t, args.conn)
+    doc = fileio.make_report(
+        "tuple-validate",
+        {"tuple": format_tuple(t), "class": args.klass, "connectivity": args.conn},
+        {"valid": not issues, "issues": issues},
+    )
+    lines = [f"valid: {str(not issues).lower()}"] + [f"issue: {s}" for s in issues]
+    _emit(args, doc, lines)
+    return OK if not issues else FAIL
 
 
 def cmd_search(args) -> int:
@@ -260,7 +244,10 @@ def _parse_inject(text: str | None) -> dict[int, int]:
     out = {}
     for part in text.split(","):
         k, _, f = part.partition("=")
-        out[int(k)] = int(f)
+        try:
+            out[int(k)] = int(f)
+        except ValueError:
+            raise ValueError(f"--inject takes k=f pairs of integers, not {part!r}") from None
     return out
 
 
@@ -358,7 +345,8 @@ def main(argv: list[str] | None = None) -> int:
     except fileio.ParseError as exc:
         print(f"parse error:\n{exc}", file=sys.stderr)
         return FAIL
-    except (InvalidTupleError, InvalidDagError, ValueError) as exc:
+    # ValueError also covers InvalidTupleError, InvalidDagError and BudgetTooSmallError
+    except (RewriteError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
 

@@ -100,6 +100,20 @@ def test_budget_exhaustion_flags():
     assert sol.f <= solve_block(10).f
 
 
+def test_budget_cut_off_is_exact():
+    # a budget of N nodes proves a block that needs N; one node less stops at node N
+    table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
+    for k in range(4, 15):
+        ladder = {r: table[r]["f"] for r in range(2, k)}
+        needed = table[k]["nodes"]
+        full = solve_rung(k, ladder, needed)
+        assert (full.f, full.proven_optimal, full.nodes_explored) == (table[k]["f"], True, needed)
+        cut = solve_rung(k, ladder, needed - 1)
+        assert not cut.proven_optimal
+        assert cut.nodes_explored == needed
+        assert check_assignment(k, cut.assignment) == []
+
+
 def test_budget_too_small_is_a_value_error():
     with pytest.raises(BudgetTooSmallError, match=r"for k=10$"):
         solve_block(10, budget=1)

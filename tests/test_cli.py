@@ -172,6 +172,14 @@ def test_tuple_encode(tt_file, capsys):
     assert "class: merged" in out
 
 
+def test_every_verb_reports_a_malformed_file_alike(tmp_path, capsys):
+    p = tmp_path / "bad.graph"
+    p.write_text("vertices 4\nedge 1 2\nedge one 3\n")
+    for verb in (["tuple", "encode"], ["count"], ["hamiltonize"]):
+        assert main([*verb, str(p)]) == 1
+        assert capsys.readouterr().err.startswith("parse error:\nline 3: ")
+
+
 def test_search_fibonacci(capsys):
     assert main(["search", "--n", "6", "--conn", "3", "--check", "fibonacci"]) == 0
     out = capsys.readouterr().out
@@ -203,6 +211,18 @@ def test_search_merged_2ec(capsys):
 def test_search_single_tuple(capsys):
     assert main(["search", "--n", "1"]) == 0
     assert "max: 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (["--n", "0"], ["--n", "-2"], ["--check", "fibonacci", "--n", "0"]),
+)
+def test_search_needs_a_positive_length(argv, capsys):
+    assert main(["search", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_search_strict_budget(capsys):
@@ -245,6 +265,13 @@ def test_bound_command(tmp_path, capsys):
     lines = csv.read_text().splitlines()
     assert lines[0] == "k,f,g2"
     assert lines[2] == "36,11117,1.677943"
+
+
+def test_bound_inject_names_a_bad_pair(capsys):
+    assert main(["bound", "--range", "6", "11", "--inject", "7=9,6"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "'6'" in err[0]
 
 
 def test_bound_window_too_small(capsys):

@@ -6,14 +6,18 @@
   an explicit check;
 * no unused import outside ``__init__.py`` (which imports to re-export);
 * no dead private helper: every module-level ``def _name`` is referenced
-  somewhere in the package outside its own body.
+  somewhere in the package outside its own body;
+* no dead module-level name: every name a module assigns at its top level
+  (except ``__version__``) is referenced somewhere in the package, the
+  scripts, the tests or the benchmark outside its own assignment.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cubicpaths"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cubicpaths"
 MODULES = sorted(PACKAGE.glob("*.py"))
 CONTAINER_CALLS = {"dict", "list", "set"}
 
@@ -87,3 +91,28 @@ def test_no_dead_private_helper():
             if not referenced:
                 dead.append(f"{module}:{fn.lineno} {fn.name}")
     assert dead == []
+
+
+def test_no_dead_module_level_name():
+    users = [
+        path
+        for top in ("src", "scripts", "tests", "perfbench")
+        for path in (ROOT / top).rglob("*.py")
+    ]
+    trees = {path: _tree(path) for path in users}
+    assigned = []  # (where, name) of every top-level assignment target in the package
+    targets = set()
+    for path in MODULES:
+        for node in trees[path].body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            targets.add(id(name))
+                            assigned.append((f"{path.name}:{name.lineno}", name.id))
+    referenced = {"__version__"}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if id(node) not in targets:
+                referenced.add(getattr(node, "id", None) or getattr(node, "attr", None))
+    assert [f"{where} {name}" for where, name in assigned if name not in referenced] == []
