@@ -274,6 +274,14 @@ def structural_3ec(dag: Dag) -> tuple[bool, Witness | None]:
     proper interval whose only crossing edges are its two path edges.
     Returns (False, witness) on the first structure found, scanning initial
     segments first and intervals in lexicographic order.
+
+    The interval scan is one incremental sweep per start i: [i, i] is
+    crossed by the 3 edges at i, and growing the interval to j turns each
+    edge from j back into [i, j-1] from crossing to internal (-1) and adds
+    each other edge at j as crossing (+1).  Every step reads 3 neighbours,
+    so the scan costs O(n^2); i stays outer and j inner, so the witness is
+    the first interval in lexicographic order, as with a rescan of every
+    interval.
     """
     require_valid(dag, with_profile=True)
     if dag.profile is not DegreeProfile.THREE_REGULAR:
@@ -281,23 +289,21 @@ def structural_3ec(dag: Dag) -> tuple[bool, Witness | None]:
     if not is_on_ham_path(dag):
         raise InvalidDagError(("structural_3ec requires a Hamiltonian path",))
     n = dag.vertex_count
-    indeg, outdeg = degree_vectors(dag)
+    outs, ins = adjacency(dag)
     balance = 0
     for k in range(1, n + 1):
-        if indeg[k] == 2:
+        if len(ins[k]) == 2:
             balance += 1
-        elif outdeg[k] == 2:
+        elif len(outs[k]) == 2:
             balance -= 1
         if balance > 0:
             return False, ("initial-segment", k)
+    neighbours = [outs[v] + ins[v] for v in range(n + 1)]
     for i in range(2, n):
+        crossing = 3
         for j in range(i + 1, n):
-            crossing = 0
-            for u, v in dag.edges:
-                if (i <= u <= j) != (i <= v <= j):
-                    crossing += 1
-                    if crossing > 2:
-                        break
+            for w in neighbours[j]:
+                crossing += -1 if i <= w < j else 1
             if crossing == 2:
                 return False, ("interval", i, j)
     return True, None

@@ -216,6 +216,11 @@ def hamiltonize(dag: Dag) -> tuple[Dag, MoveLog]:
     give mu(l2) <= mu(q), and every later vertex already follows its
     predecessor, so v reaches the vertex u that loses paths to it.
 
+    After each move the counts are recomputed only from the lowest head of a
+    removed or added edge upwards.  A count below that head cannot move: the
+    swap left the in-lists there untouched, and every edge goes forward, so
+    those counts read only in-lists below the head as well.
+
     Raises ``RewriteError`` if any logged move lowers a count (so the output
     would not dominate the tree-sorted input) or the output is not on a
     Hamiltonian path.  The checks are explicit and also run under ``-O``.
@@ -225,12 +230,16 @@ def hamiltonize(dag: Dag) -> tuple[Dag, MoveLog]:
     n = start.vertex_count
     outs, ins = adjacency(start)  # every move keeps every degree
     mu = count_paths(start).mu
+    counts = [0, *mu]  # 1-based, kept equal to mu
     log: list[Move] = []
 
     def apply(kind: str, focus: int, swap: Swap) -> None:
         nonlocal mu
         _apply_swap(outs, ins, swap)
-        after = source_path_counts(ins)
+        lo = min(v for pair in swap for _, v in pair)
+        for v in range(lo, n + 1):
+            counts[v] = sum(counts[u] for u in ins[v])
+        after = tuple(counts[1:])
         move = Move(kind, focus, swap[0], swap[1], mu, after)
         if not all(a >= b for a, b in zip(after, mu)):
             raise RewriteError(f"{kind} move at {focus} lowered a path count: {move}")

@@ -20,6 +20,7 @@ same per-prefix function.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -277,11 +278,7 @@ def encode(dag: Dag) -> ArcTuple:
 
     def rho_of(head: int) -> int:
         """Largest label used strictly before `head` = #tails before it."""
-        cnt = 0
-        for u in tails:
-            if u < head:
-                cnt += 1
-        return cnt
+        return bisect_left(tails, head)
 
     # Labels follow tail order; the source's pair is ordered dominant-first
     # so merged tuples come out canonical.

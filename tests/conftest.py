@@ -12,7 +12,9 @@ from cubicpaths import (
     TupleClass,
     decode,
     enumerate_tuples,
+    is_valid,
 )
+from cubicpaths.tuples import canonicalize
 
 PATH12 = tuple((i, i + 1) for i in range(1, 12))
 
@@ -107,3 +109,17 @@ def cubic_instances(max_vertices: int, rng_seed: int = 20240, degradations: int 
             out.append(random_topological_renumber(degrade(g, rng, swaps=1), rng))
         length += 1
     return out
+
+
+def random_cubic(rng: random.Random, vertices: int) -> Dag:
+    """A random valid 3-regular graph on an even number of vertices.
+
+    A random merged tuple is decoded, scrambled by 2-opt swaps and renumbered,
+    so the Hamiltonian path is gone and ``hamiltonize`` has moves to make.
+    """
+    m = vertices // 2 + 1
+    while True:
+        t = canonicalize(ArcTuple([rng.randint(i, m) for i in range(1, m + 1)], TupleClass.MERGED))
+        if is_valid(t):
+            break
+    return random_topological_renumber(degrade(decode(t), rng, swaps=2 * vertices), rng)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from cubicpaths import (
     count_paths,
     decode,
     edge_connectivity_at_least,
+    encode,
+    hamiltonize,
     infer_profile,
     is_on_ham_path,
     reverse,
@@ -17,6 +21,8 @@ from cubicpaths import (
     validate,
     vertex_kinds,
 )
+
+from conftest import merged_tuples, random_cubic
 
 
 def test_truncated_tetrahedron_is_valid(truncated_tetrahedron):
@@ -153,3 +159,71 @@ def test_three_regular_total_formula(truncated_tetrahedron, six_vertex):
         kinds = vertex_kinds(g)
         outgoing = [v for v in range(1, g.vertex_count + 1) if kinds[v - 1] == 0]
         assert pc.total == 3 + sum(pc.at(v) for v in outgoing[1:])
+
+
+def _reference_3ec(dag):
+    """The plain cubic scan: every interval [i, j] rescans the whole edge list."""
+    n = dag.vertex_count
+    indeg = [0] * (n + 1)
+    outdeg = [0] * (n + 1)
+    for u, v in dag.edges:
+        outdeg[u] += 1
+        indeg[v] += 1
+    balance = 0
+    for k in range(1, n + 1):
+        if indeg[k] == 2:
+            balance += 1
+        elif outdeg[k] == 2:
+            balance -= 1
+        if balance > 0:
+            return False, ("initial-segment", k)
+    for i in range(2, n):
+        for j in range(i + 1, n):
+            crossing = 0
+            for u, v in dag.edges:
+                if (i <= u <= j) != (i <= v <= j):
+                    crossing += 1
+                    if crossing > 2:
+                        break
+            if crossing == 2:
+                return False, ("interval", i, j)
+    return True, None
+
+
+def _witness_kinds(results):
+    return {None if w is None else w[0] for _, w in results}
+
+
+def test_structural_3ec_matches_reference_on_every_small_merged_tuple():
+    results = []
+    for length in range(2, 9):
+        for t in merged_tuples(length):
+            g = decode(t)
+            got = structural_3ec(g)
+            assert got == _reference_3ec(g), t.values
+            results.append(got)
+    assert len(results) == 20160
+    assert _witness_kinds(results) == {None, "initial-segment", "interval"}
+
+
+def test_structural_3ec_matches_reference_on_random_rewritten_graphs():
+    rng = random.Random(5)
+    results = []
+    for _ in range(300):
+        h, _ = hamiltonize(random_cubic(rng, 2 * rng.randint(8, 32)))
+        g = decode(encode(h))
+        got = structural_3ec(g)
+        assert got == _reference_3ec(g), g.edges
+        results.append(got)
+    assert _witness_kinds(results) == {None, "initial-segment", "interval"}
+
+
+def test_structural_3ec_agrees_with_brute_oracle_beyond_criterion_04():
+    rng = random.Random(6)
+    verdicts = []
+    for _ in range(36):
+        h, _ = hamiltonize(random_cubic(rng, 2 * rng.randint(8, 12)))
+        ok, _ = structural_3ec(h)
+        assert ok == edge_connectivity_at_least(h, 3), h.edges
+        verdicts.append(ok)
+    assert True in verdicts and False in verdicts

@@ -20,7 +20,7 @@ from cubicpaths import (
 )
 
 from cubicpaths import hamilton
-from conftest import cubic_instances
+from conftest import cubic_instances, random_cubic
 
 # Smallest graph on which incoming moves applied in increasing vertex order
 # lower a count: the move at 5 ran before (5, 6) existed and took mu(6) 4 -> 3.
@@ -113,6 +113,17 @@ def test_move_log_mu_monotone(six_vertex):
             assert m.mu_after == m.mu_before
 
 
+def _replay(base, log, out):
+    """The public one-move functions replay the in-place rewrite exactly."""
+    current = base
+    for m in log:
+        move = outgoing_move if m.kind == "outgoing" else incoming_move
+        assert count_paths(current).mu == m.mu_before
+        current = move(current, m.focus)
+        assert count_paths(current).mu == m.mu_after
+    assert current == out
+
+
 def test_hamiltonize_property_suite():
     for g in cubic_instances(10, rng_seed=4):
         base = tree_sort(g)
@@ -126,14 +137,20 @@ def test_hamiltonize_property_suite():
         for ell in (2, 3):
             if edge_connectivity_at_least(base, ell):
                 assert edge_connectivity_at_least(out, ell)
-        # the public one-move functions replay the in-place rewrite exactly
-        current = base
-        for m in log:
-            move = outgoing_move if m.kind == "outgoing" else incoming_move
-            assert count_paths(current).mu == m.mu_before
-            current = move(current, m.focus)
-            assert count_paths(current).mu == m.mu_after
-        assert current == out
+        _replay(base, log, out)
+
+
+def test_move_log_counts_replay_on_larger_graphs():
+    # Each move recounts from its lowest changed head; on graphs of 32-64
+    # vertices that head is often far from vertex 1, so a wrong start shows.
+    rng = random.Random(7)
+    moves = 0
+    for _ in range(100):
+        g = random_cubic(rng, 2 * rng.randint(16, 32))
+        out, log = hamiltonize(g)
+        _replay(tree_sort(g), log, out)
+        moves += len(log)
+    assert moves > 1000
 
 
 def test_hamiltonize_eight_counterexample(eight_counterexample):
