@@ -21,6 +21,14 @@ ladder f(2), f(3), ...; only proven values are ever used as bounds.
 ``solve_rung`` takes that ladder as an argument; ``solve_block`` builds it
 by solving every smaller block itself.
 
+The children of a vertex are tried incoming from the open tail with the
+largest count first, the dummy source last, then outgoing.  The open tails
+are kept in non-decreasing count order for free (a tail carries the count
+at its source, and counts never fall along the path), so that order is the
+tail list read from the end, with no sort.  Since both bounds grow with the
+child's count, the first child the bound cuts cuts all its later siblings,
+and they are counted as nodes in one step (see ``_solve``).
+
 Everything is deterministic: fixed child order, sequential search.
 """
 from __future__ import annotations
@@ -144,12 +152,35 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
 
     The state is ``partner`` and ``opens``, the open tails (source, count) in
     placement order.  The dummy source (0, 1) is a tail that never closes: it
-    sorts after every real tail and is no open arc to the relaxation bound.
+    is tried after every real tail and is no open arc to the relaxation bound.
+
+    ``opens`` is always in non-decreasing count order.  The dummy (0, 1)
+    comes first and 1 is the smallest count.  A tail (s, x_s) is appended
+    when s is placed outgoing, and counts never fall along the path
+    (x_{i+1} = x_i + an arc's count), so it is no smaller than every tail
+    before it.  A closed tail is re-inserted at its old index on the way
+    back.  Reading ``opens`` from the end therefore gives the incoming
+    children in decreasing count order, ties to the later tail, the dummy
+    last.  The only tail that cannot close at ``pos + 1`` is the one placed
+    at ``pos``, and it is the last entry when present.
+
+    Both bounds, ``nx * f(k - pos)`` and the relaxation bound, never
+    decrease as the child's count ``nx`` grows, and ``best_f`` is fixed
+    while children are only cut.  So once one child's bound is at most
+    ``best_f``, every later sibling is cut too.  Each cut child still counts
+    as one node, so the loop adds all of them at once and the node count is
+    that of visiting them one by one; a budget spent on the way stops at
+    exactly ``budget + 1`` nodes, as a one-by-one walk would.
     """
     INF = k + 2
     partner = [0] * (k + 1)
     partner[1] = INF  # vertex 1 is forced outgoing: its slots are path+path+out
     opens: list[tuple[int, int]] = [(0, 1), (1, 1)]
+    # ladder bound of the suffix after pos, None where the ladder has no rung
+    suffix_f = [ftable.get(k - pos) for pos in range(k)]
+    # without a budget: more nodes than the tree can have (at most k + 1
+    # children per node, fewer than k levels), so the one test never fires
+    limit = budget if budget is not None else (k + 2) ** k
 
     best_f = 0
     best_arcs: tuple[Edge, ...] | None = None
@@ -181,7 +212,7 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
         if nxt == k:
             # final vertex: forced incoming; evaluate every usable source
             nodes += 1
-            if budget is not None and nodes > budget:
+            if nodes > limit:
                 raise _BudgetSpent
             for p, v in opens:
                 if p <= nxt - 2 and x + v > best_f:
@@ -193,19 +224,27 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
                     partner[p] = INF
             return
 
-        fb = ftable.get(k - pos)
-        # incoming children in decreasing immediate-count order, dummy last
-        usable = [(v, idx) for idx, (p, v) in enumerate(opens) if p <= nxt - 2]
-        usable.sort(reverse=True)
-        for v, idx in usable:
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise _BudgetSpent
+        fb = suffix_f[pos]
+        # incoming children in decreasing count order, dummy last: opens read
+        # from the end, skipping the tail placed at pos (it cannot close at nxt)
+        idx = len(opens) - 1
+        if opens[idx][0] == pos:
+            idx -= 1
+        while idx >= 0:
+            p, v = opens[idx]
             nx = x + v
             ub = nx * fb if fb is not None else _relaxation_bound(nx, k - nxt, len(opens) - 1)
             if ub <= best_f:
-                continue
-            p, _ = opens[idx]
+                # every later sibling has a count and bound no larger: cut
+                # this child and all idx after it, one node each
+                nodes += idx + 1
+                if nodes > limit:
+                    nodes = limit + 1
+                    raise _BudgetSpent
+                break
+            nodes += 1
+            if nodes > limit:
+                raise _BudgetSpent
             partner[nxt] = p
             partner[p] = nxt
             if p == 0:
@@ -215,9 +254,10 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
                 rec(nxt, nx)
                 opens.insert(idx, (p, v))
             partner[p] = INF
+            idx -= 1
         # outgoing
         nodes += 1
-        if budget is not None and nodes > budget:
+        if nodes > limit:
             raise _BudgetSpent
         ub = x * fb if fb is not None else _relaxation_bound(x, k - nxt, len(opens))
         if ub > best_f:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -100,18 +101,51 @@ def test_budget_exhaustion_flags():
     assert sol.f <= solve_block(10).f
 
 
-def test_budget_cut_off_is_exact():
+def _assert_cut_off_is_exact(k, ladder, needed, f):
     # a budget of N nodes proves a block that needs N; one node less stops at node N
+    full = solve_rung(k, ladder, needed)
+    assert (full.f, full.proven_optimal, full.nodes_explored) == (f, True, needed)
+    cut = solve_rung(k, ladder, needed - 1)
+    assert not cut.proven_optimal
+    assert cut.nodes_explored == needed
+    assert check_assignment(k, cut.assignment) == []
+    # any budget B < N stops at node B + 1, also inside a run of siblings the
+    # bound cuts at once (B = N - 1 cannot show that: its last step ends at N)
+    budgets = range(needed) if needed <= 2000 else random.Random(k).sample(range(needed), 10)
+    for budget in budgets:
+        try:
+            sol = solve_rung(k, ladder, budget)
+        except BudgetTooSmallError:
+            continue
+        assert (sol.proven_optimal, sol.nodes_explored) == (False, budget + 1), (k, budget)
+
+
+def test_budget_cut_off_is_exact():
     table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
     for k in range(4, 15):
         ladder = {r: table[r]["f"] for r in range(2, k)}
-        needed = table[k]["nodes"]
-        full = solve_rung(k, ladder, needed)
-        assert (full.f, full.proven_optimal, full.nodes_explored) == (table[k]["f"], True, needed)
-        cut = solve_rung(k, ladder, needed - 1)
-        assert not cut.proven_optimal
-        assert cut.nodes_explored == needed
-        assert check_assignment(k, cut.assignment) == []
+        _assert_cut_off_is_exact(k, ladder, table[k]["nodes"], table[k]["f"])
+    # no ladder: every bound is the relaxation bound
+    for k in range(4, 13):
+        unbudgeted = solve_rung(k, {})
+        _assert_cut_off_is_exact(k, {}, unbudgeted.nodes_explored, table[k]["f"])
+
+
+def test_partial_ladders_match_the_oracle():
+    # sizes missing from the ladder fall back to the relaxation bound
+    table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
+    rng = random.Random(9)
+    for k in range(2, 13):
+        oracle = brute_block(k).f
+        proven = {r: table[r]["f"] for r in range(2, k)}
+        ladders = [{}] + [
+            {r: f for r, f in proven.items() if rng.random() < 0.5} for _ in range(4)
+        ]
+        for ladder in ladders:
+            sol = solve_rung(k, ladder)
+            assert (sol.f, sol.proven_optimal) == (oracle, True), (k, sorted(ladder))
+            assert check_assignment(k, sol.assignment) == []
+            assert recompute_counts(k, sol.assignment) == oracle
 
 
 def test_budget_too_small_is_a_value_error():
@@ -217,3 +251,6 @@ def test_solve_blocks_script_extends_a_seeded_table(tmp_path):
         assert {key: grown[k][key] for key in ("f", "nodes", "proven")} == {
             key: table[k][key] for key in ("f", "nodes", "proven")
         }
+        witness = tuple(tuple(arc) for arc in grown[k]["assignment"])
+        assert check_assignment(int(k), witness) == []
+        assert recompute_counts(int(k), witness) == grown[k]["f"]
