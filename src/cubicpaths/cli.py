@@ -159,6 +159,7 @@ def cmd_search(args) -> int:
         "complete": report.complete,
         "nodes": report.nodes,
         "dead_prefix_cuts": report.dead_prefix_cuts,
+        "simple_cuts": report.simple_cuts,
         "bound_cuts": report.bound_cuts,
     }
     lines = [
@@ -187,15 +188,18 @@ def cmd_search(args) -> int:
             outputs["counterexamples"] = [",".join(map(str, w)) for w in report.counterexamples]
     if not report.complete:
         lines.append("warning: search incomplete (budget exhausted)")
+    spec = report.spec
     doc = fileio.make_report(
         "search",
         {
             "n": args.n,
-            "class": args.klass,
-            "connectivity": args.conn,
-            "simple": args.simple,
             "check": args.check,
-            "prunes": sorted(prunes),
+            # the spec searched, which --check derives from its row and n
+            "length": spec.n,
+            "class": spec.klass.value,
+            "connectivity": spec.connectivity,
+            "simple": spec.simple_only,
+            "prunes": sorted(spec.prunes),
         },
         outputs,
         {"budget": args.budget},

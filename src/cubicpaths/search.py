@@ -1,19 +1,24 @@
 """Branch-and-bound search for extremal path counts over arc tuples.
 
 The tuple space for length n is finite (entry i ranges over [i, n]) and is
-walked as a tree of prefixes in lexicographic order.  Two cuts drop a child
-prefix before it is visited:
+walked as a tree of prefixes in lexicographic order.  Three cuts drop a
+child prefix before it is visited:
 
 * dead prefix (exact): ``tuples.dead_prefix`` finds a class condition that
   the fixed entries already break, so no completion is canonical and valid;
+* parallel edge (exact, simple searches only): ``tuples.parallel_prefix``
+  finds an arc the fixed entries already place beside a path edge, so no
+  completion decodes to a simple graph;
 * bound: ``tuple_mu``'s recurrence fixes arc_mu of arcs 1..k+1 from a
   prefix of length k, and every later arc counts at most as if all open
   arcs before it had landed.  When that bound on the final total is
   strictly below the incumbent maximum, no completion can reach it.  Ties
   survive, so every witness is still found, in the same order.
 
-Every leaf is still admitted only by the full class test, the canonical
-check and the chosen prunes; the cuts only remove tuples, never admit them.
+Every leaf is still admitted only by the full class test (validity, and
+for simple searches ``is_simple_tuple``, the parallel-edge rule at every
+prefix), the canonical check and the chosen prunes; the cuts only remove
+tuples, never admit them.
 Two optional prunes discard provably suboptimal tuples:
 
 * ``double-label``: two arcs before position i share the value i; lowering
@@ -35,7 +40,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from .dag import is_simple, reverse, vertex_kinds
+from .dag import reverse, vertex_kinds
 from .tuples import (
     ArcTuple,
     TupleClass,
@@ -43,7 +48,9 @@ from .tuples import (
     decode,
     encode,
     is_canonical,
+    is_simple_tuple,
     is_valid,
+    parallel_prefix,
     tuple_mu,
 )
 
@@ -62,13 +69,14 @@ class Budget:
     """Node counter with a hard ceiling (None means unlimited).
 
     It also counts the child prefixes the walk cut without visiting them,
-    by source: a dead prefix or the bound.
+    by source: a dead prefix, a parallel edge or the bound.
     """
 
     def __init__(self, limit: int | None = None):
         self.limit = limit
         self.used = 0
         self.dead_prefix_cuts = 0
+        self.simple_cuts = 0
         self.bound_cuts = 0
 
     def spend(self) -> None:
@@ -127,6 +135,7 @@ class ExtremalReport:
     complete: bool
     nodes: int
     dead_prefix_cuts: int = 0
+    simple_cuts: int = 0
     bound_cuts: int = 0
     closed_form: ClosedForm | None = None
     counterexamples: tuple[tuple[int, ...], ...] = ()
@@ -139,11 +148,7 @@ def kind_run_prunable(t: ArcTuple) -> bool:
 
 
 def _in_search_class(t: ArcTuple, spec: SearchSpec) -> bool:
-    if not is_valid(t, spec.connectivity):
-        return False
-    if spec.simple_only and not is_simple(decode(t)):
-        return False
-    return True
+    return is_valid(t, spec.connectivity) and (not spec.simple_only or is_simple_tuple(t))
 
 
 def _double_label_prunable_for(t: ArcTuple, spec: SearchSpec) -> bool:
@@ -199,7 +204,8 @@ def enumerate_tuples(
 
     Merged tuples are enumerated in canonical form only (first entry at
     least the second); the twin tuple decodes to the identical graph.
-    Child prefixes that ``dead_prefix`` rejects are never visited.  When
+    Child prefixes that ``dead_prefix`` rejects, or for simple searches
+    ``parallel_prefix``, are never visited.  When
     ``best`` is given, it returns the incumbent total (or None), and a child
     whose ``_total_bound`` is strictly below it is not visited either, so
     only tuples with a total below the incumbent go missing.
@@ -229,6 +235,9 @@ def enumerate_tuples(
             values[i] = v
             if dead_prefix(values, i + 1, spec.klass, spec.connectivity):
                 budget.dead_prefix_cuts += 1
+                continue
+            if spec.simple_only and parallel_prefix(values, i + 1, spec.klass):
+                budget.simple_cuts += 1
                 continue
             if best is not None:
                 incumbent = best()
@@ -267,6 +276,7 @@ def find_extremal(spec: SearchSpec, budget_limit: int | None = None) -> Extremal
         complete=complete,
         nodes=budget.used,
         dead_prefix_cuts=budget.dead_prefix_cuts,
+        simple_cuts=budget.simple_cuts,
         bound_cuts=budget.bound_cuts,
     )
 

@@ -16,7 +16,9 @@ values[0] >= values[1].
 
 Connectivity 2 and 3 are rules on prefixes: a tuple is valid when no
 rule is broken at any prefix 1..k, and the search cuts prefixes with the
-same per-prefix function.
+same per-prefix function.  Simplicity is a prefix rule as well: a graph has
+a parallel edge iff some prefix puts an arc right beside a path edge
+(``parallel_prefix``), so it is decided without decoding.
 """
 from __future__ import annotations
 
@@ -202,6 +204,35 @@ def dead_prefix(
     if klass is TupleClass.MERGED and k == 2 and values[0] < values[1]:
         return True
     return _prefix_issue(values, k, klass, connectivity) is not None
+
+
+def parallel_prefix(values: Sequence[int], k: int, klass: TupleClass) -> bool:
+    """True when entries 1..k of an n-tuple force a parallel edge in its graph.
+
+    Only values[:k] is read.  Every unfused vertex carries one arc endpoint,
+    so a parallel edge is an arc that lands right after its own tail, beside
+    a path edge (the merged (2, 2), whose two arcs both join source and
+    sink, also breaks the k = 1 rule).  Arc k does so when v_k == k and no
+    earlier entry equals k: its head is then first in gap k, since later
+    entries exceed k.  In the merged class the fused source and sink change
+    the two ends: arc 1 runs beside the source's path edge when v_1 == 2,
+    and arc n beside the path edge into the sink when the value n occurs
+    exactly twice.  A tuple in the class decodes to a simple graph iff no
+    prefix 1..k is ``parallel_prefix``.
+    """
+    v = values[k - 1]
+    if klass is TupleClass.MERGED:
+        n = len(values)
+        if k == 1:
+            return v == 2
+        if k == n:
+            return values[:k].count(n) == 2
+    return v == k and k not in values[: k - 1]
+
+
+def is_simple_tuple(t: ArcTuple) -> bool:
+    """Whether a tuple in its class decodes to a graph without parallel edges."""
+    return not any(parallel_prefix(t.values, k, t.klass) for k in range(1, len(t) + 1))
 
 
 def _boundary_layout(vals: tuple[int, ...]) -> tuple[list[int], list[int]]:

@@ -188,12 +188,27 @@ def test_search_fibonacci(capsys):
     assert main(["--format", "json", "search", "--n", "6", "--check", "fibonacci"]) == 0
     outputs = json.loads(capsys.readouterr().out)["outputs"]
     r = check_conjecture("fibonacci", 6)
-    assert (outputs["nodes"], outputs["dead_prefix_cuts"], outputs["bound_cuts"]) == (
-        r.nodes,
-        r.dead_prefix_cuts,
-        r.bound_cuts,
-    )
-    assert r.dead_prefix_cuts > 0 and r.bound_cuts > 0
+    cuts = ("nodes", "dead_prefix_cuts", "simple_cuts", "bound_cuts")
+    assert [outputs[key] for key in cuts] == [getattr(r, key) for key in cuts]
+    assert r.dead_prefix_cuts > 0 and r.bound_cuts > 0 and r.simple_cuts == 0
+
+
+def test_search_check_reports_the_searched_spec(capsys):
+    argv = ["--format", "json", "search", "--check", "simple-2ec", "--n", "5"]
+    assert main([*argv, "--prune", "kind-run"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["inputs"] == {
+        "n": 5,
+        "check": "simple-2ec",
+        "length": 6,
+        "class": "merged",
+        "connectivity": 2,
+        "simple": True,
+        "prunes": ["kind-run"],
+    }
+    r = check_conjecture("simple-2ec", 5, prunes=frozenset({"kind-run"}))
+    assert doc["outputs"]["simple_cuts"] == r.simple_cuts > 0
+    assert doc["outputs"]["max_total"] == r.max_total == 16
 
 
 def test_search_incomplete_check_leaves_equality_open(capsys):

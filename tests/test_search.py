@@ -16,6 +16,7 @@ from cubicpaths import (
     fibonacci,
     find_extremal,
     is_simple,
+    is_valid,
     kind_run_prunable,
     tuple_mu,
 )
@@ -26,7 +27,6 @@ from cubicpaths.search import (
     Budget,
     BudgetExceeded,
     _double_label_prunable_for,
-    _in_search_class,
     _total_bound,
     conjecture_spec,
 )
@@ -89,12 +89,14 @@ def test_budget_flags_incomplete():
 
 
 def _in_class_tuples(length: int, klass: TupleClass, conn: int, simple: bool):
-    """Brute force: every canonical tuple of the class, in lexicographic order."""
-    spec = SearchSpec(length, klass, conn, simple)
+    """Brute force: every canonical tuple of the class, in lexicographic order.
+
+    Simplicity is read off the decoded graph, not the search's tuple rule.
+    """
     out = []
     for vals in itertools.product(*(range(i, length + 1) for i in range(1, length + 1))):
         t = ArcTuple(vals, klass)
-        if is_canonical(t) and _in_search_class(t, spec):
+        if is_canonical(t) and is_valid(t, conn) and (not simple or is_simple(decode(t))):
             out.append(t)
     return out
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,13 +12,14 @@ from cubicpaths import (
     decode,
     encode,
     format_tuple,
+    is_simple,
     is_valid,
     parse_tuple,
     reverse,
     tuple_mu,
     validity_issues,
 )
-from cubicpaths.tuples import canonicalize, is_canonical
+from cubicpaths.tuples import canonicalize, is_canonical, is_simple_tuple, parallel_prefix
 
 from conftest import boundary_tuples, merged_tuples
 
@@ -110,6 +113,36 @@ def test_merged_canonical_twins_decode_identically():
     assert b.values == (5, 2, 3, 4, 5)
     assert decode(a) == decode(b)
     assert tuple_mu(a).total == tuple_mu(b).total
+
+
+@pytest.mark.parametrize("klass", tuple(TupleClass))
+def test_simple_tuple_rule_matches_decoded_graph(klass):
+    # every in-class tuple up to length 8, canonical or not (81,513 in all)
+    for length in range(1, 9):
+        for vals in itertools.product(*(range(i, length + 1) for i in range(1, length + 1))):
+            t = ArcTuple(vals, klass)
+            if is_valid(t):
+                assert is_simple_tuple(t) == is_simple(decode(t)), t
+
+
+@pytest.mark.parametrize(
+    "values,klass,first_parallel",
+    [
+        ((1,), TupleClass.BOUNDARY, 1),  # the only arc runs beside the only path edge
+        ((2, 2), TupleClass.BOUNDARY, None),  # arc 2 lands after arc 1's head
+        ((2, 4, 5, 4, 5), TupleClass.BOUNDARY, None),
+        ((2, 2, 4, 4), TupleClass.MERGED, 1),  # v_1 = 2: beside the source's path edge
+        ((3, 2, 4, 4), TupleClass.MERGED, 2),  # v_2 = 2 and v_1 != 2
+        ((3, 3, 4, 4), TupleClass.MERGED, 4),  # n = 4 exactly twice: beside the sink's path edge
+        ((4, 3, 4, 4), TupleClass.MERGED, None),  # n = 4 three times
+        ((5, 3, 3, 5, 5), TupleClass.MERGED, None),  # the simple-2ec family, n = 4
+    ],
+)
+def test_parallel_prefix_examples(values, klass, first_parallel):
+    t = ArcTuple(values, klass)
+    found = [k for k in range(1, len(values) + 1) if parallel_prefix(values, k, klass)]
+    assert found[:1] == ([first_parallel] if first_parallel else [])
+    assert is_simple_tuple(t) == is_simple(decode(t)) == (first_parallel is None)
 
 
 @pytest.mark.parametrize("length", range(1, 7))
