@@ -3,8 +3,11 @@
 Vertices are numbered 1..N and every edge (u, v) satisfies u < v, so the
 vertex numbering doubles as a topological order and acyclicity holds by
 construction.  Parallel edges are repeated pairs; every operation counts
-them with multiplicity.  All types are immutable and all functions pure,
-so values can be shared freely between threads.
+them with multiplicity.  All types are immutable and all functions pure.
+The one cache is a ``Dag``'s validation verdict: it is computed on first
+use and stored on the instance, from frozen fields only, so a ``Dag`` can
+still be shared freely between threads (a concurrent first use at worst
+computes the same verdict twice).
 
 Path counts are plain Python ints (arbitrary precision); they grow roughly
 like 1.68**n, which overflows any fixed-width type long before n = 60.
@@ -14,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 Edge = tuple[int, int]
 
@@ -40,6 +44,10 @@ class Dag:
     ``profile`` is a claim, not a fact: ``validate`` reports violations as
     data.  ``None`` means no degree discipline is claimed (useful for
     degenerate plumbing graphs such as a single edge).
+
+    Validity is a property of the instance: the verdict behind ``validate``
+    and ``require_valid`` is computed on first use and cached on it, so
+    every later check of the same graph is a lookup.
     """
 
     vertex_count: int
@@ -53,6 +61,10 @@ class Dag:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def _verdict(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        return _violations(self)
 
 
 @dataclass(frozen=True)
@@ -78,11 +90,11 @@ class PathCounts:
         return self.mu[vertex - 1]
 
 
-def degree_vectors(dag: Dag) -> tuple[list[int], list[int]]:
+def degree_vectors(vertex_count: int, edges) -> tuple[list[int], list[int]]:
     """Return 1-based (indegree, outdegree) vectors; index 0 is unused."""
-    indeg = [0] * (dag.vertex_count + 1)
-    outdeg = [0] * (dag.vertex_count + 1)
-    for u, v in dag.edges:
+    indeg = [0] * (vertex_count + 1)
+    outdeg = [0] * (vertex_count + 1)
+    for u, v in edges:
         outdeg[u] += 1
         indeg[v] += 1
     return indeg, outdeg
@@ -98,75 +110,65 @@ def adjacency(dag: Dag) -> tuple[list[list[int]], list[list[int]]]:
     return outs, ins
 
 
-def structural_violations(dag: Dag) -> list[str]:
-    out = []
+def _profile_violations(profile: DegreeProfile, indeg: list[int], outdeg: list[int]) -> list[str]:
+    """Where the degrees break ``profile``'s rule; degrees are 1-based vectors."""
+    n = len(indeg) - 1
+    deg = [i + o for i, o in zip(indeg, outdeg)]
+    if profile is DegreeProfile.THREE_REGULAR:
+        return [f"vertex {v} has degree {deg[v]}, expected 3" for v in range(1, n + 1) if deg[v] != 3]
+    out = [f"boundary vertex {v} has degree {deg[v]}, expected 2" for v in (1, n) if deg[v] != 2]
+    out += [f"interior vertex {v} has degree {deg[v]}, expected 3" for v in range(2, n) if deg[v] != 3]
+    return out
+
+
+def _violations(dag: Dag) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The (structural, profile) verdict, from one degree pass.
+
+    The profile rule indexes degrees by vertex, so it runs only on a
+    structurally clean graph that declares a profile; otherwise the profile
+    part is empty.
+    """
     n = dag.vertex_count
     if n < 2:
-        out.append(f"vertex count {n} < 2")
-        return out
-    for u, v in dag.edges:
-        if not (1 <= u < v <= n):
-            out.append(f"edge ({u}, {v}) violates 1 <= tail < head <= {n}")
-    if out:
-        return out
-    indeg, outdeg = degree_vectors(dag)
-    for v in range(2, n + 1):
-        if indeg[v] == 0:
-            out.append(f"vertex {v} has indegree 0 (source must be unique)")
-    for v in range(1, n):
-        if outdeg[v] == 0:
-            out.append(f"vertex {v} has outdegree 0 (sink must be unique)")
-    return out
-
-
-def profile_violations(dag: Dag) -> list[str]:
-    if dag.profile is None:
-        return []
-    indeg, outdeg = degree_vectors(dag)
-    n = dag.vertex_count
-    deg = [indeg[v] + outdeg[v] for v in range(n + 1)]
-    out = []
-    if dag.profile is DegreeProfile.THREE_REGULAR:
-        for v in range(1, n + 1):
-            if deg[v] != 3:
-                out.append(f"vertex {v} has degree {deg[v]}, expected 3")
-    else:
-        for v in (1, n):
-            if deg[v] != 2:
-                out.append(f"boundary vertex {v} has degree {deg[v]}, expected 2")
-        for v in range(2, n):
-            if deg[v] != 3:
-                out.append(f"interior vertex {v} has degree {deg[v]}, expected 3")
-    return out
+        return (f"vertex count {n} < 2",), ()
+    bad = [f"edge ({u}, {v}) violates 1 <= tail < head <= {n}" for u, v in dag.edges if not 1 <= u < v <= n]
+    if bad:
+        return tuple(bad), ()
+    indeg, outdeg = degree_vectors(n, dag.edges)
+    bad = [f"vertex {v} has indegree 0 (source must be unique)" for v in range(2, n + 1) if indeg[v] == 0]
+    bad += [f"vertex {v} has outdegree 0 (sink must be unique)" for v in range(1, n) if outdeg[v] == 0]
+    if bad or dag.profile is None:
+        return tuple(bad), ()
+    return (), tuple(_profile_violations(dag.profile, indeg, outdeg))
 
 
 def validate(dag: Dag) -> ValidationReport:
     """Check every invariant; violations are data, not exceptions."""
-    out = structural_violations(dag)
-    if not out:
-        out += profile_violations(dag)
-    return ValidationReport(tuple(out))
+    structural, profile = dag._verdict
+    return ValidationReport(structural or profile)
 
 
 def require_valid(dag: Dag, *, with_profile: bool = False) -> None:
-    bad = structural_violations(dag)
+    bad, profile = dag._verdict
     if not bad and with_profile:
-        if dag.profile is None:
-            bad = ["no degree profile declared"]
-        else:
-            bad = profile_violations(dag)
+        bad = ("no degree profile declared",) if dag.profile is None else profile
     if bad:
         raise InvalidDagError(bad)
 
 
+def require_cubic(dag: Dag) -> None:
+    """Raise unless ``dag`` is valid and declared 3-regular."""
+    require_valid(dag, with_profile=True)
+    if dag.profile is not DegreeProfile.THREE_REGULAR:
+        raise InvalidDagError(("operation requires a 3-regular graph",))
+
+
 def infer_profile(vertex_count: int, edges) -> DegreeProfile | None:
     """Guess the degree profile from the degree sequence, if one fits."""
-    probe = Dag(vertex_count, tuple(edges), DegreeProfile.THREE_REGULAR)
-    if not profile_violations(probe):
-        return DegreeProfile.THREE_REGULAR
-    probe = Dag(vertex_count, tuple(edges), DegreeProfile.BOUNDARY_DEG2)
-    if not profile_violations(probe):
-        return DegreeProfile.BOUNDARY_DEG2
+    indeg, outdeg = degree_vectors(vertex_count, edges)
+    for profile in (DegreeProfile.THREE_REGULAR, DegreeProfile.BOUNDARY_DEG2):
+        if not _profile_violations(profile, indeg, outdeg):
+            return profile
     return None
 
 
@@ -259,7 +261,7 @@ def vertex_kinds(dag: Dag) -> tuple[int, ...]:
     a boundary with no in- or no out-edges, so indegree < 2 means outdegree >= 2.
     """
     require_valid(dag, with_profile=True)
-    indeg, _ = degree_vectors(dag)
+    indeg, _ = degree_vectors(dag.vertex_count, dag.edges)
     return tuple(1 if indeg[v] >= 2 else 0 for v in range(1, dag.vertex_count + 1))
 
 
@@ -283,9 +285,7 @@ def structural_3ec(dag: Dag) -> tuple[bool, Witness | None]:
     the first interval in lexicographic order, as with a rescan of every
     interval.
     """
-    require_valid(dag, with_profile=True)
-    if dag.profile is not DegreeProfile.THREE_REGULAR:
-        raise InvalidDagError(("structural_3ec requires a 3-regular graph",))
+    require_cubic(dag)
     if not is_on_ham_path(dag):
         raise InvalidDagError(("structural_3ec requires a Hamiltonian path",))
     n = dag.vertex_count

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from .dag import (
     Dag,
     DegreeProfile,
-    InvalidDagError,
     adjacency,
     count_paths,
     is_on_ham_path,
+    require_cubic,
     require_valid,
     source_path_counts,
 )
@@ -56,12 +56,6 @@ class Move:
 MoveLog = tuple[Move, ...]
 
 
-def _require_cubic(dag: Dag) -> None:
-    require_valid(dag, with_profile=True)
-    if dag.profile is not DegreeProfile.THREE_REGULAR:
-        raise InvalidDagError(("operation requires a 3-regular graph",))
-
-
 def _chain_root(v: int, outs: Adj, ins: Adj) -> int:
     """Walk the unique in-edge backwards while the tail is outdegree-2."""
     while len(outs[v]) >= 2 and v != 1:
@@ -77,7 +71,7 @@ def tree_sort_order(dag: Dag) -> tuple[int, ...]:
     such tree.  Trees are made contiguous (root first, members in original
     relative order) and then stably sorted by their count.
     """
-    _require_cubic(dag)
+    require_cubic(dag)
     n = dag.vertex_count
     outs, ins = adjacency(dag)
     mu = count_paths(dag).mu
@@ -154,7 +148,7 @@ def outgoing_move(dag: Dag, b: int) -> Dag:
     adds (l, u1) and (p, b).  On a tree-sorted graph the stretch [l, b] sits
     inside one tree, so every path count is unchanged.
     """
-    _require_cubic(dag)
+    require_cubic(dag)
     outs, ins = adjacency(dag)
     _apply_swap(outs, ins, _outgoing_swap(outs, ins, b))
     return _to_dag(outs, dag.profile)
@@ -195,7 +189,7 @@ def incoming_move(dag: Dag, v: int) -> Dag:
     the consecutive edges, so every vertex gains through v at least what it
     loses through u: no count goes down.
     """
-    _require_cubic(dag)
+    require_cubic(dag)
     outs, ins = adjacency(dag)
     swap = _incoming_swap(outs, ins, v)
     (l2, _), (q, _) = swap[0]
@@ -225,8 +219,7 @@ def hamiltonize(dag: Dag) -> tuple[Dag, MoveLog]:
     would not dominate the tree-sorted input) or the output is not on a
     Hamiltonian path.  The checks are explicit and also run under ``-O``.
     """
-    _require_cubic(dag)
-    start = tree_sort(dag)
+    start = tree_sort(dag)  # checks that dag is valid and 3-regular
     n = start.vertex_count
     outs, ins = adjacency(start)  # every move keeps every degree
     mu = count_paths(start).mu

@@ -14,15 +14,19 @@ from cubicpaths import (
     edge_connectivity_at_least,
     encode,
     hamiltonize,
+    incoming_move,
     infer_profile,
     is_on_ham_path,
+    outgoing_move,
     reverse,
     structural_3ec,
+    tree_sort,
+    tree_sort_order,
     validate,
     vertex_kinds,
 )
 
-from conftest import merged_tuples, random_cubic
+from conftest import boundary_tuples, merged_tuples, random_cubic
 
 
 def test_truncated_tetrahedron_is_valid(truncated_tetrahedron):
@@ -128,6 +132,38 @@ def test_infer_profile(truncated_tetrahedron, single_edge):
     assert infer_profile(2, ((1, 2), (1, 2))) is DegreeProfile.BOUNDARY_DEG2
 
 
+def test_infer_profile_matches_every_small_tuple_class():
+    tuples = [t for length in range(1, 7) for t in boundary_tuples(length)]
+    tuples += [t for length in range(2, 7) for t in merged_tuples(length)]
+    for t in tuples:
+        g = decode(t)
+        assert infer_profile(g.vertex_count, g.edges) is g.profile, t
+    assert {decode(t).profile for t in tuples} == set(DegreeProfile)
+
+
+def test_each_dag_is_validated_once(monkeypatch):
+    import cubicpaths.dag as dag_module
+
+    seen = []
+    verdict = dag_module._violations
+
+    def counted(dag):
+        seen.append(dag)
+        return verdict(dag)
+
+    monkeypatch.setattr(dag_module, "_violations", counted)
+    g = random_cubic(random.Random(11), 32)
+    assert validate(g).ok
+    tree_sort(g)
+    h, _ = hamiltonize(g)
+    d = decode(encode(h))
+    count_paths(h)
+    count_paths(d)
+    structural_3ec(d)
+    # g, tree_sort's output, hamiltonize's own tree-sorted start, h and d
+    assert len(seen) == len({id(dag) for dag in seen}) == 5
+
+
 @st.composite
 def boundary_tuples_strategy(draw):
     n = draw(st.integers(min_value=1, max_value=7))
@@ -227,3 +263,107 @@ def test_structural_3ec_agrees_with_brute_oracle_beyond_criterion_04():
         assert ok == edge_connectivity_at_least(h, 3), h.edges
         verdicts.append(ok)
     assert True in verdicts and False in verdicts
+
+
+# ---------------------------------------------------------------- bad input
+#
+# Every public entry point that takes a Dag rejects the same bad graphs with
+# the same violation strings.
+
+OUT_OF_RANGE = Dag(4, ((1, 2), (3, 2), (2, 5), (3, 4)), DegreeProfile.THREE_REGULAR)
+OUT_OF_RANGE_VIOLATIONS = (
+    "edge (2, 5) violates 1 <= tail < head <= 4",
+    "edge (3, 2) violates 1 <= tail < head <= 4",
+)
+TWO_SOURCES = Dag(4, ((1, 2), (3, 4)), DegreeProfile.THREE_REGULAR)
+TWO_SOURCES_VIOLATIONS = (
+    "vertex 3 has indegree 0 (source must be unique)",
+    "vertex 2 has outdegree 0 (sink must be unique)",
+)
+NO_PROFILE = Dag(2, ((1, 2), (1, 2), (1, 2)))
+BOUNDARY = Dag(2, ((1, 2), (1, 2)), DegreeProfile.BOUNDARY_DEG2)
+
+ENTRY_POINTS = {
+    "count_paths": count_paths,
+    "reverse": reverse,
+    "edge_connectivity_at_least": lambda g: edge_connectivity_at_least(g, 2),
+    "is_on_ham_path": is_on_ham_path,
+    "vertex_kinds": vertex_kinds,
+    "structural_3ec": structural_3ec,
+    "tree_sort_order": tree_sort_order,
+    "tree_sort": tree_sort,
+    "outgoing_move": lambda g: outgoing_move(g, 3),
+    "incoming_move": lambda g: incoming_move(g, 3),
+    "hamiltonize": hamiltonize,
+    "encode": encode,
+}
+NEEDS_PROFILE = {
+    "vertex_kinds", "structural_3ec", "tree_sort_order", "tree_sort",
+    "outgoing_move", "incoming_move", "hamiltonize", "encode",
+}
+NEEDS_CUBIC = NEEDS_PROFILE - {"vertex_kinds", "encode"}
+
+
+def _rejection(name, graph):
+    with pytest.raises(InvalidDagError) as info:
+        ENTRY_POINTS[name](graph)
+    return info.value.violations
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "graph, violations",
+    [(OUT_OF_RANGE, OUT_OF_RANGE_VIOLATIONS), (TWO_SOURCES, TWO_SOURCES_VIOLATIONS)],
+    ids=["out-of-range", "two-sources"],
+)
+def test_entry_point_rejects_a_broken_graph(name, graph, violations):
+    assert _rejection(name, graph) == violations
+
+
+@pytest.mark.parametrize("name", sorted(NEEDS_PROFILE))
+def test_entry_point_rejects_a_missing_profile(name):
+    assert _rejection(name, NO_PROFILE) == ("no degree profile declared",)
+
+
+@pytest.mark.parametrize("name", sorted(NEEDS_CUBIC))
+def test_entry_point_rejects_a_boundary_graph(name):
+    (violation,) = _rejection(name, BOUNDARY)
+    assert violation.endswith("requires a 3-regular graph")
+
+
+@pytest.mark.parametrize(
+    "graph, violations",
+    [
+        (OUT_OF_RANGE, OUT_OF_RANGE_VIOLATIONS),
+        (TWO_SOURCES, TWO_SOURCES_VIOLATIONS),
+        (Dag(1, ()), ("vertex count 1 < 2",)),
+        (NO_PROFILE, ()),
+        (BOUNDARY, ()),
+        (
+            Dag(3, ((1, 2), (1, 3), (2, 3)), DegreeProfile.THREE_REGULAR),
+            (
+                "vertex 1 has degree 2, expected 3",
+                "vertex 2 has degree 2, expected 3",
+                "vertex 3 has degree 2, expected 3",
+            ),
+        ),
+        (
+            Dag(3, ((1, 2), (1, 3), (2, 3), (2, 3)), DegreeProfile.BOUNDARY_DEG2),
+            ("boundary vertex 3 has degree 3, expected 2",),
+        ),
+        (
+            Dag(3, ((1, 2), (1, 2), (1, 2), (2, 3)), DegreeProfile.BOUNDARY_DEG2),
+            (
+                "boundary vertex 1 has degree 3, expected 2",
+                "boundary vertex 3 has degree 1, expected 2",
+                "interior vertex 2 has degree 4, expected 3",
+            ),
+        ),
+    ],
+    ids=[
+        "out-of-range", "two-sources", "one-vertex", "no-profile", "boundary",
+        "cubic-degrees", "boundary-sink", "boundary-both",
+    ],
+)
+def test_validate_reports_violations(graph, violations):
+    assert validate(graph).violations == violations
