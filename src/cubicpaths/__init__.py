@@ -1,5 +1,8 @@
 """Source-to-sink path counting and extremal search on acyclic 3-regular graphs."""
 
+# set before the submodules load: fileio reads it
+__version__ = "0.1.0"
+
 from .dag import (
     Dag,
     DegreeProfile,
@@ -57,5 +60,3 @@ from .blocks import (
     growth_factor,
     solve_block,
 )
-
-__version__ = "0.1.0"

@@ -143,12 +143,17 @@ def cmd_tuple(args) -> int:
 def cmd_search(args) -> int:
     prunes = frozenset(args.prune or ())
     if args.check:
+        flags = (("--class", args.klass), ("--conn", args.conn), ("--simple", args.simple))
+        given = [flag for flag, value in flags if value]
+        if given:
+            fixed = "the class, connectivity and simplicity"
+            raise ValueError(f"--check {args.check} fixes {fixed}; drop {', '.join(given)}")
         report = search.check_conjecture(args.check, args.n, args.budget, prunes)
     else:
         spec = search.SearchSpec(
             n=args.n,
-            klass=_tuple_class(args.klass),
-            connectivity=args.conn,
+            klass=_tuple_class(args.klass or "boundary"),
+            connectivity=args.conn or 1,
             simple_only=args.simple,
             prunes=prunes,
         )
@@ -320,9 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive extremal search over tuples")
     p.add_argument("--n", type=int, required=True,
                    help="tuple length; with --check, half the vertex count")
-    p.add_argument("--class", dest="klass", choices=("boundary", "merged"), default="boundary")
-    p.add_argument("--conn", type=int, choices=(1, 2, 3), default=1)
-    p.add_argument("--simple", action="store_true")
+    # --check sets these three from its row, so they are unset by default
+    p.add_argument("--class", dest="klass", choices=("boundary", "merged"),
+                   help="default boundary; not with --check")
+    p.add_argument("--conn", type=int, choices=(1, 2, 3), help="default 1; not with --check")
+    p.add_argument("--simple", action="store_true", help="not with --check")
     p.add_argument("--prune", action="append",
                    choices=(search.PRUNE_DOUBLE_LABEL, search.PRUNE_KIND_RUN))
     p.add_argument("--check", choices=search.CONJECTURES,

@@ -3,7 +3,9 @@
 Vertices are numbered 1..N and every edge (u, v) satisfies u < v, so the
 vertex numbering doubles as a topological order and acyclicity holds by
 construction.  Parallel edges are repeated pairs; every operation counts
-them with multiplicity.  All types are immutable and all functions pure.
+them with multiplicity.  ``Dag.edges`` is always sorted, by tail and then by
+head, and ``count_paths`` relies on that order.  All types are immutable and
+all functions pure.
 The one cache is a ``Dag``'s validation verdict: it is computed on first
 use and stored on the instance, from frozen fields only, so a ``Dag`` can
 still be shared freely between threads (a concurrent first use at worst
@@ -172,24 +174,19 @@ def infer_profile(vertex_count: int, edges) -> DegreeProfile | None:
     return None
 
 
-def source_path_counts(ins: list[list[int]]) -> tuple[int, ...]:
-    """Per-vertex path counts from vertex 1 by the in-edge recurrence.
-
-    ``ins`` are 1-based in-neighbour lists (as from ``adjacency``) of a graph
-    whose every edge goes forward; nothing is validated here.
-    """
-    mu = [0] * len(ins)
-    mu[1] = 1
-    for v in range(2, len(ins)):
-        mu[v] = sum(mu[u] for u in ins[v])
-    return tuple(mu[1:])
-
-
 def count_paths(dag: Dag) -> PathCounts:
-    """Count directed source-to-vertex paths by the in-edge recurrence."""
+    """Count directed source-to-vertex paths in one pass over the edges.
+
+    mu(1) = 1 and mu(v) is the sum of mu(u) over the in-edges (u, v).  The
+    edges are sorted by tail, and every in-edge of u has a tail below u, so
+    each one is added into mu(u) before the first edge out of u reads it.
+    """
     require_valid(dag)
-    mu = source_path_counts(adjacency(dag)[1])
-    return PathCounts(mu, mu[-1])
+    mu = [0] * (dag.vertex_count + 1)
+    mu[1] = 1
+    for u, v in dag.edges:
+        mu[v] += mu[u]
+    return PathCounts(tuple(mu[1:]), mu[-1])
 
 
 def reverse(dag: Dag) -> Dag:

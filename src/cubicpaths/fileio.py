@@ -15,9 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from . import __version__
 from .dag import Dag, infer_profile
-
-VERSION = "0.1.0"
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ def make_report(op: str, inputs: dict, outputs: dict, provenance: dict | None = 
         "inputs": inputs,
         "outputs": outputs,
         "provenance": provenance or {},
-        "version": VERSION,
+        "version": __version__,
     }
 
 

@@ -27,7 +27,6 @@ from .dag import (
     is_on_ham_path,
     require_cubic,
     require_valid,
-    source_path_counts,
 )
 
 Edge = tuple[int, int]
@@ -56,43 +55,25 @@ class Move:
 MoveLog = tuple[Move, ...]
 
 
-def _chain_root(v: int, outs: Adj, ins: Adj) -> int:
-    """Walk the unique in-edge backwards while the tail is outdegree-2."""
-    while len(outs[v]) >= 2 and v != 1:
-        v = ins[v][0]
-    return v
-
-
 def tree_sort_order(dag: Dag) -> tuple[int, ...]:
     """New vertex order making path counts weakly increasing.
 
-    Each outdegree-2 vertex chains backwards through its unique in-edge to a
-    root (the source or an indegree-2 vertex); counts are constant on each
-    such tree.  Trees are made contiguous (root first, members in original
-    relative order) and then stably sorted by their count.
+    A vertex with a unique in-edge joins the tree of that edge's tail, whose
+    count it shares; the source and each vertex with two or more in-edges
+    root their own trees.  The order lists each tree contiguously, root
+    first and members in original order, with the trees stably sorted by
+    count: one sort on (root's count, root, vertex).  A tail lies in its
+    head's tree or in one of smaller count, so every edge still goes forward.
     """
     require_cubic(dag)
     n = dag.vertex_count
-    outs, ins = adjacency(dag)
-    mu = count_paths(dag).mu
-
-    members: dict[int, list[int]] = {}
-    roots = []
-    for v in range(1, n + 1):
-        if v == 1 or len(ins[v]) >= 2:
-            roots.append(v)
-            members[v] = [v]
+    _, ins = adjacency(dag)
+    mu = (0, *count_paths(dag).mu)
+    root = list(range(n + 1))
     for v in range(2, n + 1):
-        if len(outs[v]) >= 2:
-            members[_chain_root(v, outs, ins)].append(v)
-
-    # members were appended in increasing vertex order, so each block is
-    # already internally ordered; a stable sort on the root's count finishes.
-    roots.sort(key=lambda r: mu[r - 1])
-    order = []
-    for r in roots:
-        order.extend(members[r])
-    return tuple(order)
+        if len(ins[v]) == 1:
+            root[v] = root[ins[v][0]]
+    return tuple(sorted(range(1, n + 1), key=lambda v: (mu[root[v]], root[v], v)))
 
 
 def renumber(dag: Dag, order: tuple[int, ...]) -> Dag:
@@ -193,7 +174,7 @@ def incoming_move(dag: Dag, v: int) -> Dag:
     outs, ins = adjacency(dag)
     swap = _incoming_swap(outs, ins, v)
     (l2, _), (q, _) = swap[0]
-    mu = source_path_counts(ins)
+    mu = count_paths(dag).mu
     if mu[l2 - 1] > mu[q - 1]:
         raise MoveError(f"mu({l2}) = {mu[l2 - 1]} exceeds mu({q}) = {mu[q - 1]}")
     _apply_swap(outs, ins, swap)

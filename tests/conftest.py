@@ -94,7 +94,12 @@ def random_topological_renumber(dag: Dag, rng: random.Random) -> Dag:
 
 
 def cubic_instances(max_vertices: int, rng_seed: int = 20240, degradations: int = 1):
-    """Valid 3-regular graphs: merged decodes, reverses, scrambled variants."""
+    """Valid 3-regular graphs: merged decodes, reverses, scrambled variants.
+
+    Per merged tuple: its decode, the reverse, a 2-swap degradation and a
+    renumbered ``degradations``-swap one.  Criterion 05's fleet is
+    ``cubic_instances(12, rng_seed=1812, degradations=3)``.
+    """
     from cubicpaths import reverse
 
     rng = random.Random(rng_seed)
@@ -106,7 +111,7 @@ def cubic_instances(max_vertices: int, rng_seed: int = 20240, degradations: int 
             out.append(g)
             out.append(reverse(g))
             out.append(degrade(g, rng, swaps=2))
-            out.append(random_topological_renumber(degrade(g, rng, swaps=1), rng))
+            out.append(random_topological_renumber(degrade(g, rng, swaps=degradations), rng))
         length += 1
     return out
 

@@ -6,7 +6,6 @@ when CUBICPATHS_EXTENDED=1; its mandatory fast subset (18..24) always runs.
 """
 import itertools
 import os
-import random
 import time
 
 import pytest
@@ -30,7 +29,6 @@ from cubicpaths import (
     hamiltonize,
     is_on_ham_path,
     is_simple,
-    reverse,
     solve_block,
     structural_3ec,
     tree_sort,
@@ -40,7 +38,7 @@ from cubicpaths import (
 from cubicpaths.search import ALL_PRUNES, enumerate_tuples
 from cubicpaths.tuples import canonicalize, is_canonical, is_valid
 
-from conftest import boundary_tuples, degrade, merged_tuples, random_topological_renumber
+from conftest import boundary_tuples, cubic_instances, merged_tuples
 
 PAPER_TABLE = {35: 8233, 36: 11117, 37: 14033, 38: 17293, 39: 22781, 40: 28726}
 PAPER_G2 = {35: 1.6740, 36: 1.6779, 37: 1.6756, 38: 1.6713, 39: 1.6729, 40: 1.6707}
@@ -126,22 +124,9 @@ def test_criterion_04_connectivity_oracles():
     _passed(f"4 (connectivity oracles agree on {checked} graphs)")
 
 
-def _cubic_fleet(max_vertices: int):
-    rng = random.Random(1812)
-    length = 2
-    while 2 * length - 2 <= max_vertices:
-        for t in merged_tuples(length):
-            g = decode(t)
-            yield g
-            yield reverse(g)
-            yield degrade(g, rng, swaps=2)
-            yield random_topological_renumber(degrade(g, rng, swaps=3), rng)
-        length += 1
-
-
 def test_criterion_05_hamiltonize_properties():
     checked = 0
-    for g in _cubic_fleet(12):
+    for g in cubic_instances(12, rng_seed=1812, degradations=3):
         base = tree_sort(g)
         out, log = hamiltonize(g)
         assert is_on_ham_path(out)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cubicpaths import Dag, check_conjecture
+from cubicpaths import Dag, __version__, check_conjecture
 from cubicpaths.cli import main
 from cubicpaths.fileio import (
     ParseError,
@@ -94,7 +94,7 @@ def test_count_command_json(tt_file, capsys):
     assert main(["--format", "json", "count", tt_file]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["outputs"]["total"] == 21
-    assert doc["version"]
+    assert doc["version"] == __version__
 
 
 def test_count_rejects_invalid(tmp_path, capsys):
@@ -181,7 +181,7 @@ def test_every_verb_reports_a_malformed_file_alike(tmp_path, capsys):
 
 
 def test_search_fibonacci(capsys):
-    assert main(["search", "--n", "6", "--conn", "3", "--check", "fibonacci"]) == 0
+    assert main(["search", "--n", "6", "--check", "fibonacci"]) == 0
     out = capsys.readouterr().out
     assert "max: 22" in out
     assert "7,3,4,5,6,7,7" in out
@@ -209,6 +209,25 @@ def test_search_check_reports_the_searched_spec(capsys):
     r = check_conjecture("simple-2ec", 5, prunes=frozenset({"kind-run"}))
     assert doc["outputs"]["simple_cuts"] == r.simple_cuts > 0
     assert doc["outputs"]["max_total"] == r.max_total == 16
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    (
+        (["--class", "merged"], ["--class"]),
+        (["--conn", "3"], ["--conn"]),
+        (["--simple"], ["--simple"]),
+        (["--simple", "--conn", "1", "--class", "boundary"], ["--class", "--conn", "--simple"]),
+    ),
+)
+def test_search_check_rejects_the_flags_it_sets(flags, named, capsys):
+    # --check searches its row's own spec; a flag it would ignore is an error
+    assert main(["search", "--check", "fibonacci", "--n", "5", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert all(flag in err[0] for flag in named)
 
 
 def test_search_incomplete_check_leaves_equality_open(capsys):

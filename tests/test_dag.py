@@ -164,6 +164,22 @@ def test_each_dag_is_validated_once(monkeypatch):
     assert len(seen) == len({id(dag) for dag in seen}) == 5
 
 
+def test_count_paths_does_not_depend_on_the_given_edge_order():
+    # count_paths makes one pass over dag.edges and relies on Dag sorting them
+    rng = random.Random(5)
+    boundary = [decode(t) for t in boundary_tuples(5)]
+    merged = [decode(t) for t in merged_tuples(5)]
+    assert any(len(set(g.edges)) < g.n_edges for g in merged)  # parallel edges
+    profileless = [Dag(g.vertex_count, g.edges) for g in boundary + merged]
+    profileless.append(Dag(5, ((1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (3, 4), (4, 5), (4, 5))))
+    for g in boundary + merged + profileless:
+        want = count_paths(g)
+        shuffled = list(g.edges)
+        rng.shuffle(shuffled)
+        for given in (g.edges[::-1], tuple(shuffled)):
+            assert count_paths(Dag(g.vertex_count, given, g.profile)) == want, (g, given)
+
+
 @st.composite
 def boundary_tuples_strategy(draw):
     n = draw(st.integers(min_value=1, max_value=7))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -37,6 +38,35 @@ def test_tree_sort_order_six(six_vertex):
     assert tree_sort_order(six_vertex) == (1, 3, 5, 2, 4, 6)
     sorted_dag = tree_sort(six_vertex)
     assert count_paths(sorted_dag).mu == (1, 1, 1, 2, 3, 5)
+
+
+def _tree_root(tails: dict[int, list[int]], v: int) -> int:
+    """Walk unique in-edges back; the walk stops at the tree's root."""
+    while len(tails[v]) == 1:
+        v = tails[v][0]
+    return v
+
+
+def test_tree_sort_order_properties_on_criterion_05_fleet():
+    checked = 0
+    for g in cubic_instances(12, rng_seed=1812, degradations=3):
+        n = g.vertex_count
+        order = tree_sort_order(g)
+        assert sorted(order) == list(range(1, n + 1))
+        tails = {v: [u for u, w in g.edges if w == v] for v in range(1, n + 1)}
+        mu = (0, *count_paths(g).mu)
+        pairs = ((_tree_root(tails, v), v) for v in order)
+        runs = [(root, [v for _, v in run]) for root, run in itertools.groupby(pairs, key=lambda p: p[0])]
+        roots = [root for root, _ in runs]
+        assert len(set(roots)) == len(roots)  # each tree is one contiguous run
+        trees = [tree for _, tree in runs]
+        for root, tree in zip(roots, trees):
+            assert tree[0] == root and tree == sorted(tree)
+            assert {mu[v] for v in tree} == {mu[root]}
+        keys = [(mu[root], root) for root in roots]
+        assert keys == sorted(keys)
+        checked += 1
+    assert checked == 10080
 
 
 def test_tree_sort_fixed_point(truncated_tetrahedron):
