@@ -287,6 +287,8 @@ def solve_rung(k: int, ladder: Mapping[int, int], budget: int | None = None) -> 
     """
     if k < 2:
         raise ValueError("blocks need k >= 2")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be non-negative, not {budget}")
     f, arcs, nodes, completed = _solve(k, budget, ladder)
     if arcs is None:
         raise BudgetTooSmallError(

@@ -1,11 +1,13 @@
 """Branch-and-bound search for extremal path counts over arc tuples.
 
 The tuple space for length n is finite (entry i ranges over [i, n]) and is
-walked as a tree of prefixes in lexicographic order.  Three cuts drop a
-child prefix before it is visited:
+walked as a tree of prefixes in lexicographic order.  Merged tuples are
+walked in canonical form only: entry 2 ranges over [2, v_1], so the twin
+that swaps the two source arcs (the same graph) is never built.  Three
+cuts drop a child prefix before it is visited:
 
-* dead prefix (exact): ``tuples.dead_prefix`` finds a class condition that
-  the fixed entries already break, so no completion is canonical and valid;
+* dead prefix (exact): ``tuples.prefix_issue`` finds a connectivity rule
+  that the fixed entries already break, so no completion is valid;
 * parallel edge (exact, simple searches only): ``tuples.parallel_prefix``
   finds an arc the fixed entries already place beside a path edge, so no
   completion decodes to a simple graph;
@@ -15,10 +17,13 @@ child prefix before it is visited:
   strictly below the incumbent maximum, no completion can reach it.  Ties
   survive, so every witness is still found, in the same order.
 
-Every leaf is still admitted only by the full class test (validity, and
-for simple searches ``is_simple_tuple``, the parallel-edge rule at every
-prefix), the canonical check and the chosen prunes; the cuts only remove
-tuples, never admit them.
+The walk is the class test.  The entry ranges, the canonical order and the
+two exact cuts at every k are exactly what ``validity_issues`` and
+``is_simple_tuple`` check, so a leaf is not tested again; the one class
+rule no prefix decides, a merged tuple's value n at least twice, is tested
+at the leaf.  A change that gives the walk its own incremental state
+instead of calling these functions should bring back the full leaf test,
+which is then an independent check again.
 Two optional prunes discard provably suboptimal tuples:
 
 * ``double-label``: two arcs before position i share the value i; lowering
@@ -44,13 +49,12 @@ from .dag import reverse, vertex_kinds
 from .tuples import (
     ArcTuple,
     TupleClass,
-    dead_prefix,
     decode,
     encode,
-    is_canonical,
     is_simple_tuple,
     is_valid,
     parallel_prefix,
+    prefix_issue,
     tuple_mu,
 )
 
@@ -73,6 +77,8 @@ class Budget:
     """
 
     def __init__(self, limit: int | None = None):
+        if limit is not None and limit < 0:
+            raise ValueError(f"budget must be non-negative, not {limit}")
         self.limit = limit
         self.used = 0
         self.dead_prefix_cuts = 0
@@ -124,7 +130,7 @@ class ClosedForm:
     claim: str               # "theorem" or "conjecture"
     tight_claimed: bool
     equal: bool | None       # search max == exact_value (None if not comparable or incomplete)
-    exceeded: bool           # search max exceeds the claimed bound
+    exceeded: bool           # search max exceeds the bound, where the form is stated
 
 
 @dataclass(frozen=True)
@@ -147,10 +153,6 @@ def kind_run_prunable(t: ArcTuple) -> bool:
     return any(kinds[i] == kinds[i + 1] == kinds[i + 2] for i in range(len(kinds) - 2))
 
 
-def _in_search_class(t: ArcTuple, spec: SearchSpec) -> bool:
-    return is_valid(t, spec.connectivity) and (not spec.simple_only or is_simple_tuple(t))
-
-
 def _double_label_prunable_for(t: ArcTuple, spec: SearchSpec) -> bool:
     """Prune t only if lowering one doubled label stays inside the class.
 
@@ -167,7 +169,10 @@ def _double_label_prunable_for(t: ArcTuple, spec: SearchSpec) -> bool:
         for j1 in early:
             repl = list(vals)
             repl[j1 - 1] = i - 1
-            if _in_search_class(ArcTuple(tuple(repl), t.klass), spec):
+            lowered = ArcTuple(tuple(repl), t.klass)
+            if is_valid(lowered, spec.connectivity) and (
+                not spec.simple_only or is_simple_tuple(lowered)
+            ):
                 return True
     return False
 
@@ -204,7 +209,7 @@ def enumerate_tuples(
 
     Merged tuples are enumerated in canonical form only (first entry at
     least the second); the twin tuple decodes to the identical graph.
-    Child prefixes that ``dead_prefix`` rejects, or for simple searches
+    Child prefixes that ``prefix_issue`` rejects, or for simple searches
     ``parallel_prefix``, are never visited.  When
     ``best`` is given, it returns the incumbent total (or None), and a child
     whose ``_total_bound`` is strictly below it is not visited either, so
@@ -219,11 +224,10 @@ def enumerate_tuples(
     def rec(i: int):
         budget.spend()
         if i == n:
+            # connectivity 2 and 3 force this at k = n-1; connectivity 1 does not
+            if merged and values.count(n) < 2:
+                return
             t = ArcTuple(tuple(values), spec.klass)
-            if merged and not is_canonical(t):
-                return
-            if not _in_search_class(t, spec):
-                return
             if PRUNE_DOUBLE_LABEL in spec.prunes and _double_label_prunable_for(t, spec):
                 return
             if PRUNE_KIND_RUN in spec.prunes and kind_run_prunable(t):
@@ -231,9 +235,10 @@ def enumerate_tuples(
             yield t
             return
         lo = 2 if merged and i == 0 else i + 1
-        for v in range(lo, n + 1):
+        hi = values[0] if merged and i == 1 else n
+        for v in range(lo, hi + 1):
             values[i] = v
-            if dead_prefix(values, i + 1, spec.klass, spec.connectivity):
+            if prefix_issue(values, i + 1, spec.klass, spec.connectivity) is not None:
                 budget.dead_prefix_cuts += 1
                 continue
             if spec.simple_only and parallel_prefix(values, i + 1, spec.klass):
@@ -333,15 +338,18 @@ def check_conjecture(
 
     A conjectured bound that the search beats is reported as a
     counterexample record, never as a failure: that outcome would be a
-    finding about the bound, not a bug in the search.
+    finding about the bound, not a bug in the search.  The conn and
+    simple-conn forms are stated only from their family's first n (3 and
+    5); below that a larger maximum exceeds nothing.
     """
     spec = conjecture_spec(name, n, prunes)
     report = find_extremal(spec, budget_limit)
     value, exact, claim, tight = _closed_form(name, n)
+    stated = n >= {"conn": 3, "simple-conn": 5}.get(name, 1)
     equal = None
     exceeded = False
     if report.max_total is not None:
-        exceeded = report.max_total > value + 1e-9
+        exceeded = stated and report.max_total > value + 1e-9
         # An incomplete maximum is only a lower bound: it can exceed the
         # bound, but equality with the closed form is not decided.
         if exact is not None and tight and report.complete:

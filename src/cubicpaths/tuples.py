@@ -15,10 +15,10 @@ first two entries interchangeable, so canonical merged tuples keep
 values[0] >= values[1].
 
 Connectivity 2 and 3 are rules on prefixes: a tuple is valid when no
-rule is broken at any prefix 1..k, and the search cuts prefixes with the
-same per-prefix function.  Simplicity is a prefix rule as well: a graph has
-a parallel edge iff some prefix puts an arc right beside a path edge
-(``parallel_prefix``), so it is decided without decoding.
+rule is broken at any prefix 1..k (``prefix_issue``), and the search cuts
+prefixes with the same function.  Simplicity is a prefix rule as well: a
+graph has a parallel edge iff some prefix puts an arc right beside a path
+edge (``parallel_prefix``), so it is decided without decoding.
 """
 from __future__ import annotations
 
@@ -111,7 +111,7 @@ def canonicalize(t: ArcTuple) -> ArcTuple:
     return t
 
 
-def _prefix_issue(
+def prefix_issue(
     values: Sequence[int], k: int, klass: TupleClass, connectivity: int
 ) -> str | None:
     """The connectivity rule that entries 1..k already break, or None.
@@ -173,7 +173,7 @@ def validity_issues(t: ArcTuple, connectivity: int = 1) -> list[str]:
     connectivity 1 asks only for a decodable member of the class (all of
     which are connected via the Hamiltonian path); 2 excludes bridges; 3
     encodes 3-edge connectivity.  A tuple in the class is valid when no
-    prefix 1..k breaks a rule, the test ``dead_prefix`` cuts the search with.
+    prefix 1..k breaks a rule, the test the search cuts prefixes with.
     """
     if connectivity not in (1, 2, 3):
         raise ValueError("connectivity must be 1, 2 or 3")
@@ -181,7 +181,7 @@ def validity_issues(t: ArcTuple, connectivity: int = 1) -> list[str]:
     if out or connectivity == 1:
         return out
     for k in range(1, len(t) + 1):
-        issue = _prefix_issue(t.values, k, t.klass, connectivity)
+        issue = prefix_issue(t.values, k, t.klass, connectivity)
         if issue is not None:
             return [issue]
     return []
@@ -189,21 +189,6 @@ def validity_issues(t: ArcTuple, connectivity: int = 1) -> list[str]:
 
 def is_valid(t: ArcTuple, connectivity: int = 1) -> bool:
     return not validity_issues(t, connectivity)
-
-
-def dead_prefix(
-    values: Sequence[int], k: int, klass: TupleClass, connectivity: int
-) -> bool:
-    """True when entries 1..k of an n-tuple (n = len(values)) decide it invalid.
-
-    Only values[:k] is read.  The prefix is dead when it breaks the
-    canonical merged order (k = 2) or the connectivity rule that
-    ``validity_issues`` applies at k, so a dead prefix has no canonical
-    valid completion; the converse need not hold.
-    """
-    if klass is TupleClass.MERGED and k == 2 and values[0] < values[1]:
-        return True
-    return _prefix_issue(values, k, klass, connectivity) is not None
 
 
 def parallel_prefix(values: Sequence[int], k: int, klass: TupleClass) -> bool:

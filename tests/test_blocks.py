@@ -154,6 +154,13 @@ def test_budget_too_small_is_a_value_error():
     assert issubclass(BudgetTooSmallError, ValueError)
 
 
+def test_negative_budget_is_rejected():
+    with pytest.raises(ValueError, match="non-negative, not -1"):
+        solve_rung(5, {}, -1)
+    with pytest.raises(BudgetTooSmallError):  # 0 is a budget, just too small
+        solve_rung(5, {}, 0)
+
+
 def _fresh_process(script: str, *flags: str) -> str:
     """Stdout of ``script`` run by a new interpreter, which shares no memo."""
     done = subprocess.run(

@@ -259,6 +259,21 @@ def test_search_needs_a_positive_length(argv, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("n", ("1", "2"))
+def test_search_conn_below_its_first_n_is_no_counterexample(n, capsys):
+    assert main(["search", "--check", "conn", "--n", n]) == 0
+    assert "COUNTEREXAMPLE" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", (["search", "--n", "3"], ["block", "--k", "5"]))
+def test_negative_budget_is_an_error_line(argv, capsys):
+    assert main(["--budget", "-5", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert err == ["error: budget must be non-negative, not -5"]
+
+
 def test_search_strict_budget(capsys):
     assert main(["--budget", "10", "--strict", "search", "--n", "6", "--class", "merged"]) == 2
     assert main(["--budget", "10", "search", "--n", "6", "--class", "merged"]) == 0

@@ -9,7 +9,9 @@
   somewhere in the package outside its own body;
 * no dead module-level name: every name a module assigns at its top level
   (except ``__version__``) is referenced somewhere in the package, the
-  scripts, the tests or the benchmark outside its own assignment.
+  scripts, the tests or the benchmark outside its own assignment;
+* one version: ``pyproject.toml`` reads it from ``cubicpaths.__version__``
+  rather than keeping a second copy.
 """
 import ast
 from pathlib import Path
@@ -116,3 +118,12 @@ def test_no_dead_module_level_name():
             if id(node) not in targets:
                 referenced.add(getattr(node, "id", None) or getattr(node, "attr", None))
     assert [f"{where} {name}" for where, name in assigned if name not in referenced] == []
+
+
+def test_version_is_read_from_the_package():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    dynamic = config["tool"]["setuptools"]["dynamic"]
+    assert dynamic["version"] == {"attr": "cubicpaths.__version__"}

@@ -19,6 +19,7 @@ from cubicpaths import (
     is_valid,
     kind_run_prunable,
     tuple_mu,
+    validate,
 )
 from cubicpaths.search import (
     ALL_PRUNES,
@@ -79,6 +80,12 @@ def test_find_extremal_reported_examples():
     assert family_tuple("wedge", 6).values in r.witnesses
 
 
+def test_negative_budget_is_an_error():
+    with pytest.raises(ValueError, match="non-negative"):
+        Budget(-1)
+    assert not find_extremal(SearchSpec(3), budget_limit=0).complete
+
+
 def test_budget_flags_incomplete():
     spec = SearchSpec(6, TupleClass.MERGED, 1)
     r = find_extremal(spec, budget_limit=find_extremal(spec).nodes - 1)
@@ -127,6 +134,22 @@ def test_search_matches_brute_oracle(klass, conn):
                 assert r.witnesses == tuple(v for v in expected if totals[v] == best), spec
 
 
+@pytest.mark.parametrize("conn", (1, 2, 3))
+def test_merged_walk_matches_brute_oracle_at_length_8(conn):
+    # the walk alone decides the class: no leaf re-test backs it up
+    in_class = _in_class_tuples(8, TupleClass.MERGED, conn, False)
+    simple_ones = [t for t in in_class if is_simple(decode(t))]
+    for simple, expected in ((False, in_class), (True, simple_ones)):
+        spec = SearchSpec(8, TupleClass.MERGED, conn, simple)
+        assert list(enumerate_tuples(spec)) == expected, spec
+        totals = [tuple_mu(t).total for t in expected]
+        r = find_extremal(spec)
+        assert r.complete and r.max_total == max(totals), spec
+        assert r.witnesses == tuple(
+            t.values for t, total in zip(expected, totals) if total == r.max_total
+        ), spec
+
+
 def test_incomplete_check_leaves_equality_open():
     full = check_conjecture("fibonacci", 7)
     assert full.complete and full.closed_form.equal
@@ -154,6 +177,29 @@ def test_check_conjecture_values(name, n, expected):
     assert not r.closed_form.exceeded
     if r.closed_form.tight_claimed and r.closed_form.exact_value is not None:
         assert r.closed_form.equal
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_conn_form_is_not_exceeded_below_its_first_n(n):
+    # 9 * 2^(n-3) is stated from n = 3; the smaller maxima exceed nothing
+    r = check_conjecture("conn", n)
+    assert r.max_total > r.closed_form.value
+    assert not r.closed_form.exceeded and r.counterexamples == ()
+
+
+def test_simple_conn_record_at_n_7():
+    # The search beats the simple-conn form 16 * sqrt(3)^(n-5) at n = 7 (49
+    # against 48); each witness is re-checked from scratch.
+    r = check_conjecture("simple-conn", 7)
+    assert r.complete and r.max_total == 49
+    assert r.closed_form.exact_value == 48
+    assert r.closed_form.equal is False and r.closed_form.exceeded
+    assert r.witnesses == ((3, 3, 4, 4, 6, 8, 8, 8), (4, 3, 3, 4, 6, 8, 8, 8))
+    assert r.counterexamples == r.witnesses
+    for values in r.witnesses:
+        g = decode(ArcTuple(values, TupleClass.MERGED))
+        assert is_simple(g) and validate(g).ok
+        assert count_paths(g).total == 49
 
 
 def test_check_conjecture_witnesses():
