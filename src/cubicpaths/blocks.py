@@ -29,6 +29,18 @@ tail list read from the end, with no sort.  Since both bounds grow with the
 child's count, the first child the bound cuts cuts all its later siblings,
 and they are counted as nodes in one step (see ``_solve``).
 
+A partial placement is also cut when an earlier one beats it.  Two
+placements up to the same position with the same *structure* have the same
+feasible completions.  The structure is the number of real open tails and,
+for each group of interval starts that the tails separate, whether some
+start s of the group has every closed vertex of [s, pos] partnered inside
+[s, pos].  Those are the only facts a later interval test reads.  x_k is
+monotone in x and in each open tail's count, so a placement whose vector
+(x, tail counts in position order) is componentwise at most that of an
+earlier placement with the same structure cannot beat what the search
+already found below that one, and it is cut.  ``_solve`` has the proof and
+the O(1) update of the structure.
+
 Everything is deterministic: fixed child order, sequential search.
 """
 from __future__ import annotations
@@ -50,6 +62,9 @@ class BlockSolution:
     assignment: tuple[Edge, ...]  # all unit entries, path edges included
     proven_optimal: bool
     nodes_explored: int
+    dominance_cuts: int  # states cut by a stored state of the same structure
+    ladder_cuts: int  # children cut by the ladder bound x * f(k - pos)
+    relaxation_cuts: int  # children cut by the relaxation bound
 
 
 @dataclass(frozen=True)
@@ -148,7 +163,10 @@ class _BudgetSpent(Exception):
 
 
 def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
-    """Branch-and-bound core.  Returns (f, arcs, nodes, completed).
+    """Branch-and-bound core.  Returns (f, arcs, nodes, completed, cuts).
+
+    ``cuts`` is (dominance, ladder, relaxation): states cut by dominance,
+    and children cut by each bound, each cut child counted as its node is.
 
     The state is ``partner`` and ``opens``, the open tails (source, count) in
     placement order.  The dummy source (0, 1) is a tail that never closes: it
@@ -171,6 +189,63 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
     as one node, so the loop adds all of them at once and the node count is
     that of visiting them one by one; a budget spent on the way stops at
     exactly ``budget + 1`` nodes, as a one-by-one walk would.
+
+    **Dominance.**  ``rec(pos, x, mask)`` with pos >= 2 first looks up its
+    structure key ``(pos, len(opens), mask)``.  Number the real open tails
+    from the top; they split the interval starts 1..pos into groups, group 0
+    above the highest tail, group i from just above the (i+1)-th tail up to
+    the i-th.  Bit i of ``mask`` is set when some start s of group i has
+    every closed vertex of [s, pos] (each vertex that is not a real open
+    tail) partnered inside [s, pos].  Placing ``nxt`` updates it in O(1):
+
+    * outgoing: ``((mask >> 1) << 2) | 2``.  Group 0 is now empty; the
+      start nxt has no closed vertex, so the group it joins (the old group
+      0, now 1) is set, and the old bits from 1 up move up by one.
+    * incoming from the dummy: ``0``.  nxt's partner 0 lies below every
+      start.
+    * incoming from the j-th tail from the top: ``(mask >> j) << (j - 1)``.
+      A start above that tail now holds nxt, whose partner is outside;
+      groups j - 1 and j merge into one, and its bit is that of the starts
+      at or below the tail, old bit j.
+    * ``rec(1, 1)`` starts from ``2``: vertex 1 is a tail, and the start 1
+      holds no closed vertex.
+
+    The state's vector is x and the real tails' counts in position order.
+    It is cut when a stored vector of the same key is componentwise at
+    least as large; otherwise it is stored and the stored vectors it
+    dominates are dropped.  This is sound:
+
+    1. Same key, same feasible completions.  A completion places
+       pos + 1..k, each as outgoing, from the dummy or from the r-th real
+       tail.  An interval [s, j] with j > pos >= s is self-contained exactly
+       when every closed vertex of [s, pos] partners inside it, every tail
+       in [s, pos] closes in (pos, j], and every vertex of (pos, j]
+       partners inside [s, j].  The last two read only the completion and
+       which tails lie at or above s, the same for every start of a group,
+       so the key decides them.  Intervals after pos read the completion only.  The tail at pos
+       cannot close at pos + 1.  A state with a tail at pos has bit 1 set
+       (the start pos holds no closed vertex); in a state with that key and
+       no tail at pos, closing the top tail at pos + 1 would then make a
+       self-contained interval, so neither state has that child.
+    2. x_k is monotone in the vector.  Along a fixed completion x_k is x
+       plus the counts of the arcs that land after pos: a tail's count, 1,
+       or x_i of an earlier new vertex, itself such a sum.
+    3. Each cut is covered.  pos grows along every path, so the search is
+       depth-first with no state of position pos inside the subtree of
+       another; a stored state's subtree is finished before any twin
+       arrives.  Every completion of the cut state is a completion of the
+       stored one, worth at least as much, which that subtree either
+       reached (``best_f`` is at least its value) or cut.  A bound cut in it
+       was at or below ``best_f`` then, and ``best_f`` never falls; a
+       dominance cut in it is covered by an earlier state in turn.
+    4. A budget stop ends the whole search, and the result is not proven.
+
+    A vector is one int: the tail counts in ``W``-bit fields above x.  Every
+    value is at most ``2**(k - 2)`` (x at most doubles per vertex), so the top
+    bit of each field stays clear.  With ``g`` the top bits of the fields in
+    use, ``a <= b`` componentwise iff ``((b | g) - a) & g == g``: no field
+    borrows from the next, and a field keeps its top bit iff it did not
+    underflow.
     """
     INF = k + 2
     partner = [0] * (k + 1)
@@ -184,7 +259,13 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
 
     best_f = 0
     best_arcs: tuple[Edge, ...] | None = None
-    nodes = 0
+    nodes = dominance_cuts = ladder_cuts = relaxation_cuts = 0
+    W = k
+    guards = [0]  # guards[n]: the top bits of n fields
+    for i in range(k):
+        guards.append(guards[-1] | 1 << (i * W + W - 1))
+    # structure key -> the packed vectors stored under it, none dominating another
+    stored: dict[tuple[int, int, int], list[int]] = {}
 
     def bad_interval(j: int) -> bool:
         # partner[j] is already set to a real source; any self-contained
@@ -206,8 +287,30 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
             i -= 1
         return False
 
-    def rec(pos: int, x: int) -> None:
-        nonlocal best_f, best_arcs, nodes
+    def rec(pos: int, x: int, mask: int) -> None:
+        nonlocal best_f, best_arcs, nodes, dominance_cuts, ladder_cuts, relaxation_cuts
+        top = len(opens)
+        if pos >= 2:
+            # dominance: cut this state if a finished one of its structure
+            # is componentwise at least as good
+            vec = x
+            shift = W
+            for i in range(1, top):
+                vec |= opens[i][1] << shift
+                shift += W
+            key = (pos, top, mask)
+            kept = stored.get(key)
+            if kept is None:
+                stored[key] = [vec]
+            else:
+                g = guards[top]
+                for old in kept:
+                    if ((old | g) - vec) & g == g:
+                        dominance_cuts += 1
+                        return
+                gv = vec | g
+                kept[:] = [old for old in kept if (gv - old) & g != g]
+                kept.append(vec)
         nxt = pos + 1
         if nxt == k:
             # final vertex: forced incoming; evaluate every usable source
@@ -227,19 +330,23 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
         fb = suffix_f[pos]
         # incoming children in decreasing count order, dummy last: opens read
         # from the end, skipping the tail placed at pos (it cannot close at nxt)
-        idx = len(opens) - 1
+        idx = top - 1
         if opens[idx][0] == pos:
             idx -= 1
         while idx >= 0:
             p, v = opens[idx]
             nx = x + v
-            ub = nx * fb if fb is not None else _relaxation_bound(nx, k - nxt, len(opens) - 1)
+            ub = nx * fb if fb is not None else _relaxation_bound(nx, k - nxt, top - 1)
             if ub <= best_f:
                 # every later sibling has a count and bound no larger: cut
                 # this child and all idx after it, one node each
-                nodes += idx + 1
+                cut = min(idx + 1, limit - nodes + 1)
+                nodes += cut
+                if fb is not None:
+                    ladder_cuts += cut
+                else:
+                    relaxation_cuts += cut
                 if nodes > limit:
-                    nodes = limit + 1
                     raise _BudgetSpent
                 break
             nodes += 1
@@ -248,10 +355,13 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
             partner[nxt] = p
             partner[p] = nxt
             if p == 0:
-                rec(nxt, nx)
+                rec(nxt, nx, 0)  # nxt's partner 0 lies below every start
             elif not bad_interval(nxt):
+                # closing the j-th tail from the top clears the groups above
+                # it and merges the two groups around it into the lower one
+                j = top - idx
                 del opens[idx]
-                rec(nxt, nx)
+                rec(nxt, nx, (mask >> j) << (j - 1))
                 opens.insert(idx, (p, v))
             partner[p] = INF
             idx -= 1
@@ -259,18 +369,25 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
         nodes += 1
         if nodes > limit:
             raise _BudgetSpent
-        ub = x * fb if fb is not None else _relaxation_bound(x, k - nxt, len(opens))
+        ub = x * fb if fb is not None else _relaxation_bound(x, k - nxt, top)
         if ub > best_f:
             partner[nxt] = INF
             opens.append((nxt, x))
-            rec(nxt, x)
+            # a new tail at nxt leaves the top group empty; the start nxt
+            # holds no closed vertex, so the group holding it is set
+            rec(nxt, x, ((mask >> 1) << 2) | 2)
             opens.pop()
+        elif fb is not None:
+            ladder_cuts += 1
+        else:
+            relaxation_cuts += 1
 
     try:
-        rec(1, 1)
+        rec(1, 1, 2)
+        completed = True
     except _BudgetSpent:
-        return best_f, best_arcs, nodes, False
-    return best_f, best_arcs, nodes, True
+        completed = False
+    return best_f, best_arcs, nodes, completed, (dominance_cuts, ladder_cuts, relaxation_cuts)
 
 
 class BudgetTooSmallError(ValueError):
@@ -289,14 +406,14 @@ def solve_rung(k: int, ladder: Mapping[int, int], budget: int | None = None) -> 
         raise ValueError("blocks need k >= 2")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, not {budget}")
-    f, arcs, nodes, completed = _solve(k, budget, ladder)
+    f, arcs, nodes, completed, cuts = _solve(k, budget, ladder)
     if arcs is None:
         raise BudgetTooSmallError(
             f"budget {budget} too small to reach any feasible assignment for k={k}"
         )
     if completed and f > _relaxation_bound(1, k - 1, 1):
         raise RuntimeError(f"relaxation bound fell below the optimum f({k}) = {f}")
-    return _finish(k, f, arcs, nodes, completed)
+    return _finish(k, f, arcs, nodes, completed, cuts)
 
 
 def solve_block(k: int, budget: int | None = None) -> BlockSolution:
@@ -330,14 +447,14 @@ def _solve_block(k: int, budget: int | None) -> BlockSolution:
     return solve_rung(k, ladder, budget)
 
 
-def _finish(k, f, arcs, nodes, proven) -> BlockSolution:
+def _finish(k, f, arcs, nodes, proven, cuts=(0, 0, 0)) -> BlockSolution:
     """Re-check the witness from scratch; raise if it is infeasible or off."""
     issues = check_assignment(k, arcs)
     if issues:
         raise RuntimeError(f"witness for k={k} is infeasible: {'; '.join(issues)}")
     if recompute_counts(k, arcs) != f:
         raise RuntimeError(f"witness for k={k} does not reproduce its count {f}")
-    return BlockSolution(k, f, arcs, proven, nodes)
+    return BlockSolution(k, f, arcs, proven, nodes, *cuts)
 
 
 def brute_block(k: int) -> BlockSolution:

@@ -226,6 +226,9 @@ def cmd_block(args) -> int:
             "g2": g2,
             "proven_optimal": sol.proven_optimal,
             "nodes": sol.nodes_explored,
+            "dominance_cuts": sol.dominance_cuts,
+            "ladder_cuts": sol.ladder_cuts,
+            "relaxation_cuts": sol.relaxation_cuts,
             "assignment": [list(e) for e in sol.assignment],
         },
         {"budget": args.budget},

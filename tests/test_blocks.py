@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cubicpaths import assemble_bound, brute_block, growth_factor, solve_block
+from cubicpaths import assemble_bound, blocks, brute_block, growth_factor, solve_block
 from cubicpaths.blocks import (
     BRUTE_LIMIT,
     BudgetTooSmallError,
@@ -132,11 +132,13 @@ def test_budget_cut_off_is_exact():
 
 
 def test_partial_ladders_match_the_oracle():
-    # sizes missing from the ladder fall back to the relaxation bound
+    # sizes missing from the ladder fall back to the relaxation bound; rows
+    # 13 and 14 of the table equal brute_block (criterion 10), which is too
+    # slow to run here again
     table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
     rng = random.Random(9)
-    for k in range(2, 13):
-        oracle = brute_block(k).f
+    for k in range(2, 15):
+        oracle = brute_block(k).f if k <= 12 else table[k]["f"]
         proven = {r: table[r]["f"] for r in range(2, k)}
         ladders = [{}] + [
             {r: f for r, f in proven.items() if rng.random() < 0.5} for _ in range(4)
@@ -146,6 +148,84 @@ def test_partial_ladders_match_the_oracle():
             assert (sol.f, sol.proven_optimal) == (oracle, True), (k, sorted(ladder))
             assert check_assignment(k, sol.assignment) == []
             assert recompute_counts(k, sol.assignment) == oracle
+
+
+def _structure_mask(partner: list[int], pos: int, k: int) -> tuple[int, int]:
+    """(real open tails, mask) by a plain scan of ``partner`` from pos down.
+
+    Emit T at each real open tail; keep mn, the least partner of the closed
+    vertices of [i, pos]; emit A when mn >= i.  Bit g of the mask is set
+    when an A follows exactly g T's.
+    """
+    tails = mask = 0
+    mn = k + 2
+    for i in range(pos, 0, -1):
+        if partner[i] == k + 2:
+            tails += 1
+        else:
+            mn = min(mn, partner[i])
+        if mn >= i:
+            mask |= 1 << tails
+    return tails, mask
+
+
+def _visited_states(k: int, ladder: dict[int, int]) -> list[tuple]:
+    """(pos, real open tails, mask, partner) at every ``rec`` call of one solve.
+
+    A profile hook reads the arguments and the closure of the search's own
+    recursive step, so the masks checked are the ones the search keyed on.
+    """
+    states = []
+    path = blocks.__file__
+
+    def watch(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "rec" and code.co_filename == path:
+            seen = frame.f_locals
+            states.append(
+                (seen["pos"], len(seen["opens"]) - 1, seen["mask"], list(seen["partner"]))
+            )
+
+    sys.setprofile(watch)
+    try:
+        solve_rung(k, ladder)
+    finally:
+        sys.setprofile(None)
+    return states
+
+
+def test_incremental_structure_key_matches_a_plain_scan():
+    table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
+    rng = random.Random(14)
+    checked = 0
+    for k in range(3, 13):
+        proven = {r: table[r]["f"] for r in range(2, k)}
+        ladders = [{}, proven] + [
+            {r: f for r, f in proven.items() if rng.random() < 0.5} for _ in range(3)
+        ]
+        for ladder in ladders:
+            states = _visited_states(k, ladder)
+            assert states and states[0][0] == 1
+            for pos, tails, mask, partner in states:
+                assert (tails, mask) == _structure_mask(partner, pos, k), (k, pos, partner)
+            checked += len(states)
+    assert checked > 10_000
+
+
+def test_cut_counters():
+    table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
+    full = solve_rung(20, {r: table[r]["f"] for r in range(2, 20)})
+    bare = solve_rung(12, {})
+    # the full ladder bounds every suffix; no ladder leaves only the relaxation
+    assert full.relaxation_cuts == bare.ladder_cuts == 0
+    for sol in (full, bare):
+        assert sol.dominance_cuts > 0 and sol.ladder_cuts + sol.relaxation_cuts > 0
+        # a bound cut is a node; a dominance cut ends a node counted already
+        assert sol.ladder_cuts + sol.relaxation_cuts < sol.nodes_explored
+    assert full.dominance_cuts == table[20]["dominance_cuts"]
+    assert full.ladder_cuts == table[20]["ladder_cuts"]
+    oracle = brute_block(8)
+    assert (oracle.dominance_cuts, oracle.ladder_cuts, oracle.relaxation_cuts) == (0, 0, 0)
 
 
 def test_budget_too_small_is_a_value_error():
@@ -182,8 +262,8 @@ def test_solve_block_does_not_depend_on_call_history():
         "sol = solve_block(18, budget=130_000)\n"
         "print(sol.f, sol.proven_optimal, sol.nodes_explored)\n"
     )
-    assert fresh.split() == ["137", "True", "123671"]
-    assert (sol.f, sol.proven_optimal, sol.nodes_explored) == (137, True, 123_671)
+    assert fresh.split() == ["137", "True", "5596"]
+    assert (sol.f, sol.proven_optimal, sol.nodes_explored) == (137, True, 5_596)
 
 
 def test_injected_window_does_not_depend_on_call_history():
@@ -215,11 +295,23 @@ def test_ladder_solves_each_size_once_and_matches_the_table():
         k, f, nodes, proven = line.split()
         solved[int(k)] = (int(f), int(nodes), proven == "True")
     assert solved == {k: (table[k]["f"], table[k]["nodes"], True) for k in range(2, 23)}
-    assert sum(nodes for _, nodes, _ in solved.values()) == 2_644_092
+    assert sum(nodes for _, nodes, _ in solved.values()) == 76_820
     for k in range(2, 23):
         ladder = {r: table[r]["f"] for r in range(2, k)}
         sol = solve_rung(k, ladder)
         assert (sol.f, sol.nodes_explored, sol.proven_optimal) == solved[k]
+
+
+def test_every_stored_row_carries_a_witness_that_checks_out():
+    table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
+    assert sorted(table) == list(range(2, max(table) + 1))
+    for k, row in table.items():
+        witness = tuple(tuple(arc) for arc in row["assignment"])
+        assert check_assignment(k, witness) == [], k
+        assert recompute_counts(k, witness) == row["f"], k
+        assert row["g2"] == round(growth_factor(row["f"], k), 6), k
+        assert row["proven"] and isinstance(row["solver"], str), k
+        assert {"dominance_cuts", "ladder_cuts", "relaxation_cuts"} <= set(row), k
 
 
 def test_finish_rejects_wrong_count_under_optimize():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cubicpaths import Dag, __version__, check_conjecture
+from cubicpaths import Dag, __version__, check_conjecture, solve_block
 from cubicpaths.cli import main
 from cubicpaths.fileio import (
     ParseError,
@@ -283,6 +283,16 @@ def test_block_command(capsys):
     assert main(["block", "--k", "8"]) == 0
     out = capsys.readouterr().out
     assert "f(8) = 11" in out
+
+
+def test_block_json_reports_the_cuts(capsys):
+    assert main(["--format", "json", "block", "--k", "12"]) == 0
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    sol = solve_block(12)
+    assert (outputs["f"], outputs["nodes"]) == (sol.f, sol.nodes_explored)
+    cuts = ("dominance_cuts", "ladder_cuts", "relaxation_cuts")
+    assert [outputs[c] for c in cuts] == [getattr(sol, c) for c in cuts]
+    assert outputs["dominance_cuts"] > 0 and outputs["ladder_cuts"] > 0
 
 
 @pytest.mark.parametrize(
