@@ -10,7 +10,9 @@ also stores its witness, every unit arc (i, j) of the assignment, so that
 without solving again, with the block's node and cut counts and the
 ``cubicpaths`` version that solved it.  From an empty cache on Python 3.11
 (2 CPUs), k=2..32 takes about 7 s, k=35..39 about 45 s, and the whole table
-to k=40 about 75 s.
+to k=40 about 75 s.  A budget too small to reach any assignment for some
+size ends the run with one ``error:`` line and exit status 1; the rows
+solved before it stay in the cache.
 
 Usage:
     python scripts/solve_blocks.py --kmax 40 [--cache data/block_table.json]
@@ -55,7 +57,12 @@ def main() -> int:
         if k in ladder:
             continue
         t0 = time.perf_counter()
-        sol = blocks.solve_rung(k, ladder, budget=args.budget)
+        try:
+            sol = blocks.solve_rung(k, ladder, budget=args.budget)
+        except blocks.BudgetTooSmallError as exc:
+            # the rows solved so far are saved already
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         dt = time.perf_counter() - t0
         if sol.proven_optimal:
             ladder[k] = sol.f

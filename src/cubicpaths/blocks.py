@@ -29,17 +29,18 @@ tail list read from the end, with no sort.  Since both bounds grow with the
 child's count, the first child the bound cuts cuts all its later siblings,
 and they are counted as nodes in one step (see ``_solve``).
 
-A partial placement is also cut when an earlier one beats it.  Two
-placements up to the same position with the same *structure* have the same
-feasible completions.  The structure is the number of real open tails and,
-for each group of interval starts that the tails separate, whether some
-start s of the group has every closed vertex of [s, pos] partnered inside
-[s, pos].  Those are the only facts a later interval test reads.  x_k is
-monotone in x and in each open tail's count, so a placement whose vector
-(x, tail counts in position order) is componentwise at most that of an
-earlier placement with the same structure cannot beat what the search
-already found below that one, and it is cut.  ``_solve`` has the proof and
-the O(1) update of the structure.
+A partial placement is also cut when an earlier one beats it.  Its
+*structure* is the number of real open tails and, for each group of
+interval starts that the tails separate, whether some start s of the group
+has every closed vertex of [s, pos] partnered inside [s, pos].  Only
+closing the top real tail can close an interval, and it does so iff the
+group of starts that ends at that tail has its bit set, so placements up
+to the same position with the same structure have the same feasible
+completions.  x_k is monotone in x and in each open tail's count, so a
+placement whose vector (x, tail counts in position order) is componentwise
+at most that of an earlier placement with the same structure cannot beat
+what the search already found below that one, and it is cut.  ``_solve``
+has the proofs and the O(1) update of the structure.
 
 Everything is deterministic: fixed child order, sequential search.
 """
@@ -179,8 +180,8 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
     before it.  A closed tail is re-inserted at its old index on the way
     back.  Reading ``opens`` from the end therefore gives the incoming
     children in decreasing count order, ties to the later tail, the dummy
-    last.  The only tail that cannot close at ``pos + 1`` is the one placed
-    at ``pos``, and it is the last entry when present.
+    last.  The tail placed at ``pos``, when present, is the last entry; it
+    cannot close at ``pos + 1`` and is skipped without counting a node.
 
     Both bounds, ``nx * f(k - pos)`` and the relaxation bound, never
     decrease as the child's count ``nx`` grows, and ``best_f`` is fixed
@@ -190,13 +191,12 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
     that of visiting them one by one; a budget spent on the way stops at
     exactly ``budget + 1`` nodes, as a one-by-one walk would.
 
-    **Dominance.**  ``rec(pos, x, mask)`` with pos >= 2 first looks up its
-    structure key ``(pos, len(opens), mask)``.  Number the real open tails
-    from the top; they split the interval starts 1..pos into groups, group 0
-    above the highest tail, group i from just above the (i+1)-th tail up to
-    the i-th.  Bit i of ``mask`` is set when some start s of group i has
-    every closed vertex of [s, pos] (each vertex that is not a real open
-    tail) partnered inside [s, pos].  Placing ``nxt`` updates it in O(1):
+    **Structure.**  Number the real open tails from the top; they split the
+    interval starts 1..pos into groups, group 0 above the highest tail,
+    group i from just above the (i+1)-th tail up to the i-th.  Bit i of
+    ``mask`` is set when some start s of group i has every closed vertex of
+    [s, pos] (each vertex that is not a real open tail) partnered inside
+    [s, pos].  Placing ``nxt`` updates it in O(1):
 
     * outgoing: ``((mask >> 1) << 2) | 2``.  Group 0 is now empty; the
       start nxt has no closed vertex, so the group it joins (the old group
@@ -210,23 +210,36 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
     * ``rec(1, 1)`` starts from ``2``: vertex 1 is a tail, and the start 1
       holds no closed vertex.
 
-    The state's vector is x and the real tails' counts in position order.
-    It is cut when a stored vector of the same key is componentwise at
-    least as large; otherwise it is stored and the stored vectors it
-    dominates are dropped.  This is sound:
+    **Intervals.**  [s, nxt], s < nxt, is self-contained, and infeasible,
+    when every vertex in it partners inside it.  Only a child closing a real
+    tail t can make one (an outgoing nxt or one from the dummy partners
+    outside), with s <= t and no real tail open at or above s.  Closing the
+    j-th tail from the top, j >= 2, leaves the top one open above t.
+    Closing the top tail (``idx == top - 1``) makes one iff some start of
+    group 1, the starts s <= t above every other tail, has every closed
+    vertex of [s, pos] partnered inside [s, pos] (nxt and t partner each
+    other, and a closed vertex partners at or below pos): iff bit 1 is set.
+    That child is skipped; it is the only one whose mask would have bit 0
+    set, so bit 0 is clear in every reached state: no reached placement has a
+    self-contained interval ending at pos.  The tail at pos is the top tail
+    and comes with bit 1 set, so at the final vertex this test skips it.
+
+    **Dominance.**  ``rec(pos, x, mask)`` with pos >= 2 first looks up its
+    structure key ``(pos, len(opens), mask)``.  The state's vector is x and
+    the real tails' counts in position order.  It is cut when a stored
+    vector of the same key is componentwise at least as large; otherwise
+    it is stored and the stored vectors it dominates are dropped.  This is
+    sound:
 
     1. Same key, same feasible completions.  A completion places
        pos + 1..k, each as outgoing, from the dummy or from the r-th real
-       tail.  An interval [s, j] with j > pos >= s is self-contained exactly
-       when every closed vertex of [s, pos] partners inside it, every tail
-       in [s, pos] closes in (pos, j], and every vertex of (pos, j]
-       partners inside [s, j].  The last two read only the completion and
-       which tails lie at or above s, the same for every start of a group,
-       so the key decides them.  Intervals after pos read the completion only.  The tail at pos
-       cannot close at pos + 1.  A state with a tail at pos has bit 1 set
-       (the start pos holds no closed vertex); in a state with that key and
-       no tail at pos, closing the top tail at pos + 1 would then make a
-       self-contained interval, so neither state has that child.
+       tail from the top.  Whether a child is feasible, and the child's
+       key, depend only on the parent's key and that choice: the interval
+       test reads r and bit 1, and the updates read the mask.  The tail at
+       pos is no exception: a state with it has bit 1 set, so in a state
+       with the same key and no tail at pos, closing the top tail at
+       pos + 1 is skipped too.  By induction along the completion, it is
+       feasible from one state iff it is from the other.
     2. x_k is monotone in the vector.  Along a fixed completion x_k is x
        plus the counts of the arcs that land after pos: a tail's count, 1,
        or x_i of an earlier new vertex, itself such a sum.
@@ -267,26 +280,6 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
     # structure key -> the packed vectors stored under it, none dominating another
     stored: dict[tuple[int, int, int], list[int]] = {}
 
-    def bad_interval(j: int) -> bool:
-        # partner[j] is already set to a real source; any self-contained
-        # interval ending at j would be cut off by its two path edges.
-        mn = mx = partner[j]
-        i = j - 1
-        while i >= 1:
-            p = partner[i]
-            if p > mx:
-                mx = p
-                if mx > j:
-                    return False
-            elif p < mn:
-                mn = p
-                if mn < 1:
-                    return False
-            if mn >= i:
-                return True
-            i -= 1
-        return False
-
     def rec(pos: int, x: int, mask: int) -> None:
         nonlocal best_f, best_arcs, nodes, dominance_cuts, ladder_cuts, relaxation_cuts
         top = len(opens)
@@ -317,13 +310,13 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
             nodes += 1
             if nodes > limit:
                 raise _BudgetSpent
-            for p, v in opens:
-                if p <= nxt - 2 and x + v > best_f:
+            for idx, (p, v) in enumerate(opens):
+                # closing the top tail with bit 1 set closes an interval
+                if x + v > best_f and (idx < top - 1 or not mask & 2):
                     partner[nxt] = p
                     partner[p] = nxt
-                    if p == 0 or not bad_interval(nxt):
-                        best_f = x + v
-                        best_arcs = _placement_arcs(k, partner)
+                    best_f = x + v
+                    best_arcs = _placement_arcs(k, partner)
                     partner[p] = INF
             return
 
@@ -356,7 +349,7 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
             partner[p] = nxt
             if p == 0:
                 rec(nxt, nx, 0)  # nxt's partner 0 lies below every start
-            elif not bad_interval(nxt):
+            elif idx < top - 1 or not mask & 2:  # else it closes an interval
                 # closing the j-th tail from the top clears the groups above
                 # it and merges the two groups around it into the lower one
                 j = top - idx
@@ -531,6 +524,9 @@ def assemble_bound(
     if k_hi < k_lo + 5:
         raise ValueError("window must cover at least 6 consecutive block sizes")
     overrides = f_overrides or {}
+    smallest = min([k_lo, *overrides])
+    if smallest < 2:
+        raise ValueError(f"blocks need k >= 2, not k={smallest}")
     rows = []
     solved = False
     for k in range(k_lo, k_hi + 1):

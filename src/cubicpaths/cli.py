@@ -257,9 +257,12 @@ def _parse_inject(text: str | None) -> dict[int, int]:
     for part in text.split(","):
         k, _, f = part.partition("=")
         try:
-            out[int(k)] = int(f)
+            size, value = int(k), int(f)
         except ValueError:
             raise ValueError(f"--inject takes k=f pairs of integers, not {part!r}") from None
+        if size in out:
+            raise ValueError(f"--inject gives k={size} more than once")
+        out[size] = value
     return out
 
 

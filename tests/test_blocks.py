@@ -83,6 +83,10 @@ def test_assemble_bound_injected():
 def test_assemble_bound_window_guard():
     with pytest.raises(ValueError):
         assemble_bound(35, 39)
+    # a block of one vertex is no block, injected or not
+    for lo, overrides in ((1, {1: 1}), (6, {1: 1, 6: 7}), (1, None)):
+        with pytest.raises(ValueError, match="blocks need k >= 2, not k=1"):
+            assemble_bound(lo, lo + 5, f_overrides=overrides)
 
 
 def test_assemble_bound_small_range():
@@ -207,7 +211,10 @@ def test_incremental_structure_key_matches_a_plain_scan():
             states = _visited_states(k, ladder)
             assert states and states[0][0] == 1
             for pos, tails, mask, partner in states:
-                assert (tails, mask) == _structure_mask(partner, pos, k), (k, pos, partner)
+                scanned = _structure_mask(partner, pos, k)
+                assert (tails, mask) == scanned, (k, pos, partner)
+                # bit 0 set: a self-contained interval ends at pos
+                assert not scanned[1] & 1, (k, pos, partner)
             checked += len(states)
     assert checked > 10_000
 
@@ -353,3 +360,23 @@ def test_solve_blocks_script_extends_a_seeded_table(tmp_path):
         witness = tuple(tuple(arc) for arc in grown[k]["assignment"])
         assert check_assignment(int(k), witness) == []
         assert recompute_counts(int(k), witness) == grown[k]["f"]
+
+
+def test_solve_blocks_script_reports_a_budget_too_small(tmp_path):
+    cache = tmp_path / "table.json"
+    script = ROOT / "scripts" / "solve_blocks.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--kmax", "8", "--budget", "2", "--cache", str(cache)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "error: budget 2 too small to reach any feasible assignment for k=4"
+    ]
+    # the rows solved before k=4 were saved as they were solved, and stay
+    grown = json.loads(cache.read_text())
+    assert sorted(grown, key=int) == ["2", "3"]
+    assert (grown["2"]["f"], grown["2"]["proven"]) == (2, True)
+    assert (grown["3"]["f"], grown["3"]["proven"]) == (3, False)

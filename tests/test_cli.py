@@ -331,6 +331,26 @@ def test_bound_inject_names_a_bad_pair(capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "'6'" in err[0]
+    # a repeated k is an error, not a silent choice of its last value
+    assert main(["bound", "--range", "6", "11", "--inject", "6=7,6=99"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --inject gives k=6 more than once"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["bound", "--range", "1", "6", "--inject", "1=1"],
+        ["bound", "--range", "6", "11", "--inject", "1=1"],
+        ["bound", "--range", "1", "6"],
+    ),
+)
+def test_bound_rejects_a_block_of_one_vertex(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: blocks need k >= 2, not k=1"]
 
 
 def test_bound_window_too_small(capsys):
