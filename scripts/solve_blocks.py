@@ -7,10 +7,12 @@ rows of the cache are the ladder that bounds the larger sizes: a proven row
 is trusted as it stands and never solved again.  Each newly solved row
 also stores its witness, every unit arc (i, j) of the assignment, so that
 ``blocks.check_assignment`` and ``blocks.recompute_counts`` can audit it
-without solving again, with the block's node and cut counts and the
+without solving again, with the block's node and cut counts, the
+aspiration floor its search started from and its number of runs (2 when no
+leaf beat the floor and the search ran again from 0), and the
 ``cubicpaths`` version that solved it.  From an empty cache on Python 3.11
-(2 CPUs), k=2..32 takes about 7 s, k=35..39 about 45 s, and the whole table
-to k=40 about 75 s.  A budget too small to reach any assignment for some
+(2 CPUs), k=2..32 takes about 4 s, k=35..39 about 18 s, and the whole table
+to k=40 about 31 s.  A budget too small to reach any assignment for some
 size ends the run with one ``error:`` line and exit status 1; the rows
 solved before it stay in the cache.
 
@@ -75,6 +77,8 @@ def main() -> int:
             "dominance_cuts": sol.dominance_cuts,
             "ladder_cuts": sol.ladder_cuts,
             "relaxation_cuts": sol.relaxation_cuts,
+            "floor": sol.floor,
+            "runs": sol.runs,
             "solver": cubicpaths.__version__,
             "assignment": [list(arc) for arc in sol.assignment],
         }

@@ -42,6 +42,19 @@ at most that of an earlier placement with the same structure cannot beat
 what the search already found below that one, and it is cut.  ``_solve``
 has the proofs and the O(1) update of the structure.
 
+``solve_rung`` starts the search from an aspiration incumbent.  When the
+ladder holds k-1, k-6 and k-7, it predicts p = f(k-1) f(k-6) / f(k-7) and
+sets the floor G = floor(0.95 p): the search starts at ``best_f = G``, so
+every bound cuts against G from the first node on, and only a leaf above G
+becomes the incumbent.  If a leaf above G is found, every cut was at a bound
+no higher than the incumbent at that moment, which never exceeds the final
+maximum, so the maximum is proven just as from ``best_f = 0``.  If the search
+completes with no leaf above G, that proves f <= G, and ``solve_rung``
+solves again once from floor 0 with a fresh dominance store (the stored
+states only cover what their subtrees found against G).  Over the stored
+table f / p >= 0.95 for every k >= 10, and the floor reaches f only at
+k = 9 and 10.
+
 Everything is deterministic: fixed child order, sequential search.
 """
 from __future__ import annotations
@@ -66,6 +79,8 @@ class BlockSolution:
     dominance_cuts: int  # states cut by a stored state of the same structure
     ladder_cuts: int  # children cut by the ladder bound x * f(k - pos)
     relaxation_cuts: int  # children cut by the relaxation bound
+    floor: int  # the aspiration incumbent the first run started from
+    runs: int  # 2 when no leaf beat the floor and the search ran again from 0
 
 
 @dataclass(frozen=True)
@@ -133,6 +148,13 @@ def recompute_counts(k: int, edges: tuple[Edge, ...]) -> int:
     return x[k]
 
 
+def _aspiration_floor(k: int, ladder: Mapping[int, int]) -> int:
+    """floor(0.95 p) for the guess p = f(k-1) f(k-6) / f(k-7); 0 unless all are known."""
+    if not all(r in ladder for r in (k - 1, k - 6, k - 7)):
+        return 0
+    return 95 * ladder[k - 1] * ladder[k - 6] // (100 * ladder[k - 7])
+
+
 def _relaxation_bound(x: int, r: int, n_open: int) -> int:
     """Admissible bound with interval constraints dropped on the suffix.
 
@@ -163,11 +185,22 @@ class _BudgetSpent(Exception):
     """The node budget ran out; raised out of the search and caught once."""
 
 
-def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
+def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0):
     """Branch-and-bound core.  Returns (f, arcs, nodes, completed, cuts).
 
+    ``f`` and ``arcs`` are the best leaf evaluated, (0, None) when none was.
     ``cuts`` is (dominance, ladder, relaxation): states cut by dominance,
     and children cut by each bound, each cut child counted as its node is.
+
+    **Floor.**  ``best_f``, the value every bound is compared with, starts
+    at ``floor``.  A leaf is kept when it beats the best leaf so far, but it
+    raises ``best_f`` only when it beats ``best_f``.  Every cut removes only
+    completions worth at most ``best_f`` at that moment (the bounds are
+    admissible, and step 3 below holds for any starting ``best_f``), and
+    ``best_f`` is at most max(floor, f) throughout.  So a completed search
+    proves that no placement is worth more than max(floor, f): when f >
+    floor, f is the maximum; otherwise the maximum is at most ``floor`` and
+    the leaf returned, if any, is only a feasible placement.
 
     The state is ``partner`` and ``opens``, the open tails (source, count) in
     placement order.  The dummy source (0, 1) is a tail that never closes: it
@@ -270,8 +303,9 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
     # children per node, fewer than k levels), so the one test never fires
     limit = budget if budget is not None else (k + 2) ** k
 
-    best_f = 0
-    best_arcs: tuple[Edge, ...] | None = None
+    best_f = floor
+    leaf_f = 0
+    leaf_arcs: tuple[Edge, ...] | None = None
     nodes = dominance_cuts = ladder_cuts = relaxation_cuts = 0
     W = k
     guards = [0]  # guards[n]: the top bits of n fields
@@ -281,7 +315,7 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
     stored: dict[tuple[int, int, int], list[int]] = {}
 
     def rec(pos: int, x: int, mask: int) -> None:
-        nonlocal best_f, best_arcs, nodes, dominance_cuts, ladder_cuts, relaxation_cuts
+        nonlocal best_f, leaf_f, leaf_arcs, nodes, dominance_cuts, ladder_cuts, relaxation_cuts
         top = len(opens)
         if pos >= 2:
             # dominance: cut this state if a finished one of its structure
@@ -312,12 +346,13 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
                 raise _BudgetSpent
             for idx, (p, v) in enumerate(opens):
                 # closing the top tail with bit 1 set closes an interval
-                if x + v > best_f and (idx < top - 1 or not mask & 2):
+                if x + v > leaf_f and (idx < top - 1 or not mask & 2):
                     partner[nxt] = p
                     partner[p] = nxt
-                    best_f = x + v
-                    best_arcs = _placement_arcs(k, partner)
+                    leaf_f = x + v
+                    leaf_arcs = _placement_arcs(k, partner)
                     partner[p] = INF
+                    best_f = max(best_f, leaf_f)
             return
 
         fb = suffix_f[pos]
@@ -380,7 +415,7 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int]):
         completed = True
     except _BudgetSpent:
         completed = False
-    return best_f, best_arcs, nodes, completed, (dominance_cuts, ladder_cuts, relaxation_cuts)
+    return leaf_f, leaf_arcs, nodes, completed, (dominance_cuts, ladder_cuts, relaxation_cuts)
 
 
 class BudgetTooSmallError(ValueError):
@@ -394,19 +429,37 @@ def solve_rung(k: int, ladder: Mapping[int, int], budget: int | None = None) -> 
     the ladder falls back to the relaxation bound, which costs nodes but never
     correctness.  A proven result is proven relative to the ladder's values.
     The returned assignment re-checks against every constraint from scratch.
+
+    The search starts from the aspiration floor of the ladder (see the module
+    docstring).  When it completes with no leaf above the floor, which proves
+    f <= floor, it runs once more from floor 0 with a fresh dominance store.
+    Nodes, cuts and the budget count both runs.  A budget that stops the
+    search before a leaf beats the floor leaves the best leaf at or below it
+    as the unproven result.
     """
     if k < 2:
         raise ValueError("blocks need k >= 2")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, not {budget}")
-    f, arcs, nodes, completed, cuts = _solve(k, budget, ladder)
+    floor = _aspiration_floor(k, ladder)
+    f, arcs, nodes, completed, cuts = _solve(k, budget, ladder, floor)
+    runs = 1
+    if completed and f <= floor:
+        # the cuts made against the floor do not hold below it
+        rest = None if budget is None else budget - nodes
+        f2, arcs2, nodes2, completed, cuts2 = _solve(k, rest, ladder)
+        runs = 2
+        nodes += nodes2
+        cuts = tuple(a + b for a, b in zip(cuts, cuts2))
+        if completed or f2 > f:
+            f, arcs = f2, arcs2
     if arcs is None:
         raise BudgetTooSmallError(
             f"budget {budget} too small to reach any feasible assignment for k={k}"
         )
     if completed and f > _relaxation_bound(1, k - 1, 1):
         raise RuntimeError(f"relaxation bound fell below the optimum f({k}) = {f}")
-    return _finish(k, f, arcs, nodes, completed, cuts)
+    return _finish(k, f, arcs, nodes, completed, cuts, floor, runs)
 
 
 def solve_block(k: int, budget: int | None = None) -> BlockSolution:
@@ -440,14 +493,14 @@ def _solve_block(k: int, budget: int | None) -> BlockSolution:
     return solve_rung(k, ladder, budget)
 
 
-def _finish(k, f, arcs, nodes, proven, cuts=(0, 0, 0)) -> BlockSolution:
+def _finish(k, f, arcs, nodes, proven, cuts=(0, 0, 0), floor=0, runs=1) -> BlockSolution:
     """Re-check the witness from scratch; raise if it is infeasible or off."""
     issues = check_assignment(k, arcs)
     if issues:
         raise RuntimeError(f"witness for k={k} is infeasible: {'; '.join(issues)}")
     if recompute_counts(k, arcs) != f:
         raise RuntimeError(f"witness for k={k} does not reproduce its count {f}")
-    return BlockSolution(k, f, arcs, proven, nodes, *cuts)
+    return BlockSolution(k, f, arcs, proven, nodes, *cuts, floor, runs)
 
 
 def brute_block(k: int) -> BlockSolution:

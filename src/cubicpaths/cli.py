@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Verbs: count, hamiltonize, tuple {decode,encode,mu,validate}, search, block,
-bound.  Every command is deterministic given identical flags and inputs.
+bound.  Every command is deterministic given identical flags and inputs,
+apart from the wall seconds that ``block`` reports in its provenance.
 Exit status: 0 success, 1 validation or parse error, 2 incomplete result
 under --strict.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from . import blocks, fileio, search
@@ -216,7 +218,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_block(args) -> int:
+    t0 = time.perf_counter()
     sol = blocks.solve_block(args.k, args.budget)
+    seconds = time.perf_counter() - t0
     g2 = blocks.growth_factor(sol.f, args.k)
     doc = fileio.make_report(
         "block",
@@ -229,9 +233,15 @@ def cmd_block(args) -> int:
             "dominance_cuts": sol.dominance_cuts,
             "ladder_cuts": sol.ladder_cuts,
             "relaxation_cuts": sol.relaxation_cuts,
+            "floor": sol.floor,
+            "runs": sol.runs,
             "assignment": [list(e) for e in sol.assignment],
         },
-        {"budget": args.budget},
+        {
+            "budget": args.budget,
+            "stop": "complete" if sol.proven_optimal else "budget",
+            "seconds": seconds,
+        },
     )
     lines = [f"f({args.k}) = {sol.f}", f"g2 = {g2:.6f}", f"proven: {sol.proven_optimal}"]
     if args.graph_out:

@@ -12,6 +12,8 @@ from cubicpaths import assemble_bound, blocks, brute_block, growth_factor, solve
 from cubicpaths.blocks import (
     BRUTE_LIMIT,
     BudgetTooSmallError,
+    _aspiration_floor,
+    _solve,
     check_assignment,
     recompute_counts,
     solve_rung,
@@ -21,6 +23,17 @@ ROOT = Path(__file__).resolve().parent.parent
 TABLE = ROOT / "data" / "block_table.json"
 PAPER_TABLE = {35: 8233, 36: 11117, 37: 14033, 38: 17293, 39: 22781, 40: 28726}
 PAPER_G2 = {35: 1.6740, 36: 1.6779, 37: 1.6756, 38: 1.6713, 39: 1.6729, 40: 1.6707}
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """f(k) for k = 2..14: ``brute_block`` up to 12, the table at 13 and 14.
+
+    Rows 13 and 14 of the table equal ``brute_block`` (criterion 10), which
+    is too slow to run here again.
+    """
+    table = json.loads(TABLE.read_text())
+    return {k: brute_block(k).f if k <= 12 else table[str(k)]["f"] for k in range(2, 15)}
 
 
 def test_smallest_blocks():
@@ -103,6 +116,13 @@ def test_budget_exhaustion_flags():
     assert not sol.proven_optimal
     assert check_assignment(10, sol.assignment) == []
     assert sol.f <= solve_block(10).f
+    # with the full ladder k=10's floor is f = 19; 200 nodes stop the first
+    # run before any leaf beats it, and the best leaf below it is reported
+    table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
+    sol = solve_rung(10, {r: table[r]["f"] for r in range(2, 10)}, 200)
+    assert (sol.floor, sol.runs, sol.proven_optimal, sol.nodes_explored) == (19, 1, False, 201)
+    assert check_assignment(10, sol.assignment) == []
+    assert recompute_counts(10, sol.assignment) == sol.f <= 19
 
 
 def _assert_cut_off_is_exact(k, ladder, needed, f):
@@ -126,6 +146,8 @@ def _assert_cut_off_is_exact(k, ladder, needed, f):
 
 def test_budget_cut_off_is_exact():
     table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
+    # at k=9 and 10 no leaf beats the floor, and the budget spans both runs
+    assert [k for k in range(4, 15) if table[k]["runs"] == 2] == [9, 10]
     for k in range(4, 15):
         ladder = {r: table[r]["f"] for r in range(2, k)}
         _assert_cut_off_is_exact(k, ladder, table[k]["nodes"], table[k]["f"])
@@ -135,23 +157,50 @@ def test_budget_cut_off_is_exact():
         _assert_cut_off_is_exact(k, {}, unbudgeted.nodes_explored, table[k]["f"])
 
 
-def test_partial_ladders_match_the_oracle():
-    # sizes missing from the ladder fall back to the relaxation bound; rows
-    # 13 and 14 of the table equal brute_block (criterion 10), which is too
-    # slow to run here again
-    table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
+def test_partial_ladders_match_the_oracle(oracle):
+    # sizes missing from the ladder fall back to the relaxation bound
     rng = random.Random(9)
     for k in range(2, 15):
-        oracle = brute_block(k).f if k <= 12 else table[k]["f"]
-        proven = {r: table[r]["f"] for r in range(2, k)}
+        proven = {r: oracle[r] for r in range(2, k)}
         ladders = [{}] + [
             {r: f for r, f in proven.items() if rng.random() < 0.5} for _ in range(4)
         ]
         for ladder in ladders:
             sol = solve_rung(k, ladder)
-            assert (sol.f, sol.proven_optimal) == (oracle, True), (k, sorted(ladder))
+            assert (sol.f, sol.proven_optimal) == (oracle[k], True), (k, sorted(ladder))
             assert check_assignment(k, sol.assignment) == []
-            assert recompute_counts(k, sol.assignment) == oracle
+            assert recompute_counts(k, sol.assignment) == oracle[k]
+
+
+def test_floor_contract(oracle):
+    # from a floor G below f the search proves f with a witness; from G >= f
+    # it completes with no leaf above G, and any leaf it hands back (the
+    # fallback a budget stop would report) is feasible and at most f
+    for k in range(2, 15):
+        f = oracle[k]
+        ladder = {r: oracle[r] for r in range(2, k)}
+        for floor in (0, f - 1, f, f + 3):
+            got, arcs, _, completed, _ = _solve(k, None, ladder, floor)
+            assert completed, (k, floor)
+            if floor < f:
+                assert got == f, (k, floor)
+            else:
+                assert got <= f <= floor, (k, floor)
+            if arcs is not None:
+                assert check_assignment(k, arcs) == [], (k, floor)
+                assert recompute_counts(k, arcs) == got, (k, floor)
+
+
+def test_ladder_without_rung_k_minus_7_keeps_floor_0():
+    # without f(k-7) there is no guess: one run from 0, with the node counts
+    # of the search before the floor existed
+    table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
+    before = {9: 153, 12: 736, 16: 2_989, 20: 12_229, 22: 22_439}
+    for k, nodes in before.items():
+        ladder = {r: table[r]["f"] for r in range(2, k) if r != k - 7}
+        sol = solve_rung(k, ladder)
+        assert (sol.floor, sol.runs, sol.nodes_explored) == (0, 1, nodes), k
+        assert (sol.f, sol.proven_optimal) == (table[k]["f"], True), k
 
 
 def _structure_mask(partner: list[int], pos: int, k: int) -> tuple[int, int]:
@@ -269,8 +318,8 @@ def test_solve_block_does_not_depend_on_call_history():
         "sol = solve_block(18, budget=130_000)\n"
         "print(sol.f, sol.proven_optimal, sol.nodes_explored)\n"
     )
-    assert fresh.split() == ["137", "True", "5596"]
-    assert (sol.f, sol.proven_optimal, sol.nodes_explored) == (137, True, 5_596)
+    assert fresh.split() == ["137", "True", "4312"]
+    assert (sol.f, sol.proven_optimal, sol.nodes_explored) == (137, True, 4_312)
 
 
 def test_injected_window_does_not_depend_on_call_history():
@@ -283,26 +332,32 @@ def test_injected_window_does_not_depend_on_call_history():
 def test_ladder_solves_each_size_once_and_matches_the_table():
     out = _fresh_process(
         "from cubicpaths import blocks\n"
-        "calls = []\n"
-        "solve = blocks._solve\n"
-        "def counted(k, budget, ftable):\n"
-        "    calls.append(k)\n"
-        "    return solve(k, budget, ftable)\n"
-        "blocks._solve = counted\n"
+        "rungs, runs = [], []\n"
+        "solve_rung, solve = blocks.solve_rung, blocks._solve\n"
+        "def counted_rung(k, ladder, budget):\n"
+        "    rungs.append(k)\n"
+        "    return solve_rung(k, ladder, budget)\n"
+        "def counted(k, budget, ftable, floor=0):\n"
+        "    runs.append(k)\n"
+        "    return solve(k, budget, ftable, floor)\n"
+        "blocks.solve_rung, blocks._solve = counted_rung, counted\n"
         "for k in range(2, 23):\n"
         "    sol = blocks.solve_block(k)\n"
         "    print(k, sol.f, sol.nodes_explored, sol.proven_optimal)\n"
-        "print(*calls)\n"
+        "print(*rungs)\n"
+        "print(*runs)\n"
     )
-    *rows, calls = out.splitlines()
-    assert calls.split() == [str(k) for k in range(2, 23)]
+    *rows, rungs, runs = out.splitlines()
     table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
+    # one solve_rung per size, and as many searches as the row's runs
+    assert rungs.split() == [str(k) for k in range(2, 23)]
+    assert runs.split() == [str(k) for k in range(2, 23) for _ in range(table[k]["runs"])]
     solved = {}
     for line in rows:
         k, f, nodes, proven = line.split()
         solved[int(k)] = (int(f), int(nodes), proven == "True")
     assert solved == {k: (table[k]["f"], table[k]["nodes"], True) for k in range(2, 23)}
-    assert sum(nodes for _, nodes, _ in solved.values()) == 76_820
+    assert sum(nodes for _, nodes, _ in solved.values()) == 58_057
     for k in range(2, 23):
         ladder = {r: table[r]["f"] for r in range(2, k)}
         sol = solve_rung(k, ladder)
@@ -319,6 +374,11 @@ def test_every_stored_row_carries_a_witness_that_checks_out():
         assert row["g2"] == round(growth_factor(row["f"], k), 6), k
         assert row["proven"] and isinstance(row["solver"], str), k
         assert {"dominance_cuts", "ladder_cuts", "relaxation_cuts"} <= set(row), k
+        # the floor is the guess from the rows below; a second run exactly
+        # when it was not below f
+        ladder = {r: table[r]["f"] for r in range(2, k)}
+        assert row["floor"] == _aspiration_floor(k, ladder), k
+        assert row["runs"] == (2 if row["floor"] >= row["f"] else 1), k
 
 
 def test_finish_rejects_wrong_count_under_optimize():
@@ -354,9 +414,8 @@ def test_solve_blocks_script_extends_a_seeded_table(tmp_path):
     assert sorted(grown, key=int) == [str(k) for k in range(2, 13)]
     assert {k: grown[k] for k in seeded} == seeded
     for k in ("11", "12"):
-        assert {key: grown[k][key] for key in ("f", "nodes", "proven")} == {
-            key: table[k][key] for key in ("f", "nodes", "proven")
-        }
+        keys = ("f", "nodes", "proven", "floor", "runs")
+        assert {key: grown[k][key] for key in keys} == {key: table[k][key] for key in keys}
         witness = tuple(tuple(arc) for arc in grown[k]["assignment"])
         assert check_assignment(int(k), witness) == []
         assert recompute_counts(int(k), witness) == grown[k]["f"]

@@ -296,6 +296,24 @@ def test_block_json_reports_the_cuts(capsys):
 
 
 @pytest.mark.parametrize(
+    "budget, stop, proven", ((None, "complete", True), (300, "budget", False))
+)
+def test_block_json_reports_floor_runs_and_provenance(budget, stop, proven, capsys):
+    # k=10's floor, 19, is f itself: no leaf beats it and the search runs
+    # again; 300 nodes prove k=9 (277) but stop k=10 (554) in its second run
+    flags = [] if budget is None else ["--budget", str(budget)]
+    assert main(["--format", "json", *flags, "block", "--k", "10"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    outputs, provenance = report["outputs"], report["provenance"]
+    assert (outputs["floor"], outputs["proven_optimal"]) == (19, proven)
+    assert outputs["runs"] == 2
+    assert (provenance["budget"], provenance["stop"]) == (budget, stop)
+    assert provenance["seconds"] >= 0
+    if budget is not None:
+        assert outputs["nodes"] == budget + 1
+
+
+@pytest.mark.parametrize(
     "argv", (["block", "--k", "10"], ["bound", "--range", "6", "11"])
 )
 def test_block_budget_too_small_is_an_error_line(argv, capsys):
