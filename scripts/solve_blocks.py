@@ -3,17 +3,18 @@
 
 Each block size is solved exactly and appended to the cache file as soon as
 it is proven, so an interrupted run resumes where it left off.  The proven
-rows of the cache are the ladder that bounds the larger sizes: a proven row
-is trusted as it stands and never solved again.  Each newly solved row
-also stores its witness, every unit arc (i, j) of the assignment, so that
-``blocks.check_assignment`` and ``blocks.recompute_counts`` can audit it
-without solving again, with the block's node and cut counts, the
-aspiration floor its search started from and its number of runs (2 when no
-leaf beat the floor and the search ran again from 0), and the
-``cubicpaths`` version that solved it.  From an empty cache on Python 3.11
-(2 CPUs), k=2..32 takes about 4 s, k=35..39 about 18 s, and the whole table
-to k=40 about 31 s.  A budget too small to reach any assignment for some
-size ends the run with one ``error:`` line and exit status 1; the rows
+rows of the cache are the ladder that bounds the larger sizes, and are not
+solved again.  The cache is read with ``blocks.load_table``, which audits
+every row from its witness first: a row whose witness is infeasible or does
+not reproduce its f, or that lacks a field, ends the run with one
+``error:`` line and exit status 1 before anything is solved or written.
+Each newly solved row is ``blocks.table_row`` of its solution (f, g2, the
+proof flag, node and cut counts, the aspiration floor, the number of runs
+and the witness, every unit arc (i, j) of the assignment), plus the
+seconds it took and the ``cubicpaths`` version that solved it.  From an
+empty cache on Python 3.11 (2 CPUs), k=2..32 takes about 4 s, k=35..39
+about 18 s, and the whole table to k=40 about 31 s.  A budget too small to
+reach any assignment for some size ends the run the same way; the rows
 solved before it stay in the cache.
 
 Usage:
@@ -33,13 +34,6 @@ import cubicpaths
 from cubicpaths import blocks
 
 
-def load_cache(path: Path) -> dict[int, dict]:
-    if path.exists():
-        raw = json.loads(path.read_text())
-        return {int(k): v for k, v in raw.items()}
-    return {}
-
-
 def save_cache(path: Path, cache: dict[int, dict]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({str(k): v for k, v in sorted(cache.items())}, indent=1) + "\n")
@@ -52,8 +46,12 @@ def main() -> int:
     ap.add_argument("--budget", type=int, default=None, help="node budget per block")
     args = ap.parse_args()
 
-    cache = load_cache(args.cache)
-    ladder = {k: row["f"] for k, row in cache.items() if row.get("proven")}
+    try:
+        cache = blocks.load_table(args.cache) if args.cache.exists() else {}
+    except ValueError as exc:
+        print(f"error: {args.cache}: {exc}", file=sys.stderr)
+        return 1
+    ladder = {k: row["f"] for k, row in cache.items() if row["proven"]}
 
     for k in range(2, args.kmax + 1):
         if k in ladder:
@@ -69,18 +67,9 @@ def main() -> int:
         if sol.proven_optimal:
             ladder[k] = sol.f
         cache[k] = {
-            "f": sol.f,
-            "g2": round(blocks.growth_factor(sol.f, k), 6),
-            "proven": sol.proven_optimal,
-            "nodes": sol.nodes_explored,
+            **blocks.table_row(sol),
             "seconds": round(dt, 2),
-            "dominance_cuts": sol.dominance_cuts,
-            "ladder_cuts": sol.ladder_cuts,
-            "relaxation_cuts": sol.relaxation_cuts,
-            "floor": sol.floor,
-            "runs": sol.runs,
             "solver": cubicpaths.__version__,
-            "assignment": [list(arc) for arc in sol.assignment],
         }
         save_cache(args.cache, cache)
         print(

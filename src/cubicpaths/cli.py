@@ -221,29 +221,18 @@ def cmd_block(args) -> int:
     t0 = time.perf_counter()
     sol = blocks.solve_block(args.k, args.budget)
     seconds = time.perf_counter() - t0
-    g2 = blocks.growth_factor(sol.f, args.k)
+    row = blocks.table_row(sol)
     doc = fileio.make_report(
         "block",
         {"k": args.k},
-        {
-            "f": sol.f,
-            "g2": g2,
-            "proven_optimal": sol.proven_optimal,
-            "nodes": sol.nodes_explored,
-            "dominance_cuts": sol.dominance_cuts,
-            "ladder_cuts": sol.ladder_cuts,
-            "relaxation_cuts": sol.relaxation_cuts,
-            "floor": sol.floor,
-            "runs": sol.runs,
-            "assignment": [list(e) for e in sol.assignment],
-        },
+        row,
         {
             "budget": args.budget,
             "stop": "complete" if sol.proven_optimal else "budget",
             "seconds": seconds,
         },
     )
-    lines = [f"f({args.k}) = {sol.f}", f"g2 = {g2:.6f}", f"proven: {sol.proven_optimal}"]
+    lines = [f"f({args.k}) = {sol.f}", f"g2 = {row['g2']:.6f}", f"proven: {sol.proven_optimal}"]
     if args.graph_out:
         real = [e for e in sol.assignment if 1 <= e[0] and e[1] <= args.k]
         dummy = [e for e in sol.assignment if e not in real]

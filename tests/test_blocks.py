@@ -15,6 +15,7 @@ from cubicpaths.blocks import (
     _aspiration_floor,
     _solve,
     check_assignment,
+    load_table,
     recompute_counts,
     solve_rung,
 )
@@ -26,14 +27,24 @@ PAPER_G2 = {35: 1.6740, 36: 1.6779, 37: 1.6756, 38: 1.6713, 39: 1.6729, 40: 1.67
 
 
 @pytest.fixture(scope="module")
-def oracle():
+def table():
+    """The stored block table keyed by k, every row audited by ``load_table``."""
+    return load_table(TABLE)
+
+
+@pytest.fixture(scope="module")
+def oracle(table):
     """f(k) for k = 2..14: ``brute_block`` up to 12, the table at 13 and 14.
 
     Rows 13 and 14 of the table equal ``brute_block`` (criterion 10), which
     is too slow to run here again.
     """
-    table = json.loads(TABLE.read_text())
-    return {k: brute_block(k).f if k <= 12 else table[str(k)]["f"] for k in range(2, 15)}
+    return {k: brute_block(k).f if k <= 12 else table[k]["f"] for k in range(2, 15)}
+
+
+def _solved(row):
+    """A stored row without the fields that vary by run: its time and solver."""
+    return {key: v for key, v in row.items() if key not in ("seconds", "solver")}
 
 
 def test_smallest_blocks():
@@ -111,14 +122,13 @@ def test_assemble_bound_small_range():
         assert row.g2 == pytest.approx(math.exp(2 * math.log(row.f) / row.k), rel=1e-12)
 
 
-def test_budget_exhaustion_flags():
+def test_budget_exhaustion_flags(table):
     sol = solve_block(10, budget=150)
     assert not sol.proven_optimal
     assert check_assignment(10, sol.assignment) == []
     assert sol.f <= solve_block(10).f
-    # with the full ladder k=10's floor is f = 19; 200 nodes stop the first
-    # run before any leaf beats it, and the best leaf below it is reported
-    table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
+    # with the full ladder k=10's floor is f = 19; 200 of its 270 nodes stop
+    # the run before it ends, and the best leaf at or below 19 is reported
     sol = solve_rung(10, {r: table[r]["f"] for r in range(2, 10)}, 200)
     assert (sol.floor, sol.runs, sol.proven_optimal, sol.nodes_explored) == (19, 1, False, 201)
     assert check_assignment(10, sol.assignment) == []
@@ -144,10 +154,7 @@ def _assert_cut_off_is_exact(k, ladder, needed, f):
         assert (sol.proven_optimal, sol.nodes_explored) == (False, budget + 1), (k, budget)
 
 
-def test_budget_cut_off_is_exact():
-    table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
-    # at k=9 and 10 no leaf beats the floor, and the budget spans both runs
-    assert [k for k in range(4, 15) if table[k]["runs"] == 2] == [9, 10]
+def test_budget_cut_off_is_exact(table):
     for k in range(4, 15):
         ladder = {r: table[r]["f"] for r in range(2, k)}
         _assert_cut_off_is_exact(k, ladder, table[k]["nodes"], table[k]["f"])
@@ -155,6 +162,19 @@ def test_budget_cut_off_is_exact():
     for k in range(4, 13):
         unbudgeted = solve_rung(k, {})
         _assert_cut_off_is_exact(k, {}, unbudgeted.nodes_explored, table[k]["f"])
+
+
+def test_a_floor_above_f_runs_the_search_twice(table):
+    # no stored row runs twice; a doubled f(k-1) is still an admissible
+    # bound and lifts the floor above f, so every leaf is below it and the
+    # search runs again from 0, with the budget spanning both runs
+    for k in range(9, 15):
+        ladder = {r: table[r]["f"] for r in range(2, k)}
+        ladder[k - 1] *= 2
+        sol = solve_rung(k, ladder)
+        assert sol.floor > table[k]["f"], k
+        assert (sol.runs, sol.proven_optimal, sol.f) == (2, True, table[k]["f"]), k
+        _assert_cut_off_is_exact(k, ladder, sol.nodes_explored, sol.f)
 
 
 def test_partial_ladders_match_the_oracle(oracle):
@@ -191,10 +211,9 @@ def test_floor_contract(oracle):
                 assert recompute_counts(k, arcs) == got, (k, floor)
 
 
-def test_ladder_without_rung_k_minus_7_keeps_floor_0():
+def test_ladder_without_rung_k_minus_7_keeps_floor_0(table):
     # without f(k-7) there is no guess: one run from 0, with the node counts
     # of the search before the floor existed
-    table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
     before = {9: 153, 12: 736, 16: 2_989, 20: 12_229, 22: 22_439}
     for k, nodes in before.items():
         ladder = {r: table[r]["f"] for r in range(2, k) if r != k - 7}
@@ -247,8 +266,7 @@ def _visited_states(k: int, ladder: dict[int, int]) -> list[tuple]:
     return states
 
 
-def test_incremental_structure_key_matches_a_plain_scan():
-    table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
+def test_incremental_structure_key_matches_a_plain_scan(table):
     rng = random.Random(14)
     checked = 0
     for k in range(3, 13):
@@ -268,8 +286,7 @@ def test_incremental_structure_key_matches_a_plain_scan():
     assert checked > 10_000
 
 
-def test_cut_counters():
-    table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
+def test_cut_counters(table):
     full = solve_rung(20, {r: table[r]["f"] for r in range(2, 20)})
     bare = solve_rung(12, {})
     # the full ladder bounds every suffix; no ladder leaves only the relaxation
@@ -329,7 +346,7 @@ def test_injected_window_does_not_depend_on_call_history():
     assert assemble_bound(8, 13, f_overrides=overrides).final_block_constant is None
 
 
-def test_ladder_solves_each_size_once_and_matches_the_table():
+def test_ladder_solves_each_size_once_and_matches_the_table(table):
     out = _fresh_process(
         "from cubicpaths import blocks\n"
         "rungs, runs = [], []\n"
@@ -348,7 +365,6 @@ def test_ladder_solves_each_size_once_and_matches_the_table():
         "print(*runs)\n"
     )
     *rows, rungs, runs = out.splitlines()
-    table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
     # one solve_rung per size, and as many searches as the row's runs
     assert rungs.split() == [str(k) for k in range(2, 23)]
     assert runs.split() == [str(k) for k in range(2, 23) for _ in range(table[k]["runs"])]
@@ -357,28 +373,46 @@ def test_ladder_solves_each_size_once_and_matches_the_table():
         k, f, nodes, proven = line.split()
         solved[int(k)] = (int(f), int(nodes), proven == "True")
     assert solved == {k: (table[k]["f"], table[k]["nodes"], True) for k in range(2, 23)}
-    assert sum(nodes for _, nodes, _ in solved.values()) == 58_057
+    assert sum(nodes for _, nodes, _ in solved.values()) == 57_628
     for k in range(2, 23):
         ladder = {r: table[r]["f"] for r in range(2, k)}
         sol = solve_rung(k, ladder)
         assert (sol.f, sol.nodes_explored, sol.proven_optimal) == solved[k]
 
 
-def test_every_stored_row_carries_a_witness_that_checks_out():
-    table = {int(k): row for k, row in json.loads(TABLE.read_text()).items()}
+def test_every_stored_row_carries_a_witness_that_checks_out(table):
+    # load_table has re-checked each row's fields, witness, f and g2
     assert sorted(table) == list(range(2, max(table) + 1))
     for k, row in table.items():
-        witness = tuple(tuple(arc) for arc in row["assignment"])
-        assert check_assignment(k, witness) == [], k
-        assert recompute_counts(k, witness) == row["f"], k
-        assert row["g2"] == round(growth_factor(row["f"], k), 6), k
         assert row["proven"] and isinstance(row["solver"], str), k
-        assert {"dominance_cuts", "ladder_cuts", "relaxation_cuts"} <= set(row), k
         # the floor is the guess from the rows below; a second run exactly
-        # when it was not below f
+        # when it was above f
         ladder = {r: table[r]["f"] for r in range(2, k)}
         assert row["floor"] == _aspiration_floor(k, ladder), k
-        assert row["runs"] == (2 if row["floor"] >= row["f"] else 1), k
+        assert row["runs"] == (2 if row["floor"] > row["f"] else 1), k
+
+
+def _remove_an_arc(row):
+    arc = next(a for a in row["assignment"] if a[1] > a[0] + 1)
+    return {**row, "assignment": [a for a in row["assignment"] if a != arc]}
+
+
+@pytest.mark.parametrize(
+    "k, spoil, reason",
+    (
+        (6, lambda row: {**row, "f": 5}, "does not reproduce f=5"),
+        (7, _remove_an_arc, "witness is infeasible: vertex"),
+        (8, lambda row: {key: v for key, v in row.items() if key != "nodes"}, "lacks nodes"),
+        (9, lambda row: {**row, "g2": row["g2"] + 1e-6}, "is not f's"),
+    ),
+    ids=("edited-f", "arc-removed", "missing-field", "wrong-g2"),
+)
+def test_load_table_rejects_a_bad_row(table, tmp_path, k, spoil, reason):
+    bad = {str(r): spoil(row) if r == k else row for r, row in table.items()}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(ValueError, match=rf"^block table row k={k}\b.*{reason}"):
+        load_table(path)
 
 
 def test_finish_rejects_wrong_count_under_optimize():
@@ -397,10 +431,9 @@ def test_finish_rejects_wrong_count_under_optimize():
     assert "does not reproduce its count" in _fresh_process(script, "-O")
 
 
-def test_solve_blocks_script_extends_a_seeded_table(tmp_path):
-    table = json.loads(TABLE.read_text())
+def test_solve_blocks_script_extends_a_seeded_table(table, tmp_path):
     cache = tmp_path / "table.json"
-    seeded = {str(k): table[str(k)] for k in range(2, 11)}
+    seeded = {str(k): table[k] for k in range(2, 11)}
     cache.write_text(json.dumps(seeded))
     script = ROOT / "scripts" / "solve_blocks.py"
     done = subprocess.run(
@@ -410,15 +443,32 @@ def test_solve_blocks_script_extends_a_seeded_table(tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    grown = json.loads(cache.read_text())
-    assert sorted(grown, key=int) == [str(k) for k in range(2, 13)]
-    assert {k: grown[k] for k in seeded} == seeded
-    for k in ("11", "12"):
-        keys = ("f", "nodes", "proven", "floor", "runs")
-        assert {key: grown[k][key] for key in keys} == {key: table[k][key] for key in keys}
-        witness = tuple(tuple(arc) for arc in grown[k]["assignment"])
-        assert check_assignment(int(k), witness) == []
-        assert recompute_counts(int(k), witness) == grown[k]["f"]
+    grown = load_table(cache)
+    assert sorted(grown) == list(range(2, 13))
+    assert {str(k): grown[k] for k in range(2, 11)} == seeded
+    # the same search tree and witness as the stored rows
+    assert [_solved(grown[k]) for k in (11, 12)] == [_solved(table[k]) for k in (11, 12)]
+
+
+def test_solve_blocks_script_refuses_a_row_that_fails_its_audit(table, tmp_path):
+    # f(6) = 5 would be a false rung under every larger block; the audit
+    # stops the run before it solves or writes anything, also under -O
+    cache = tmp_path / "table.json"
+    rows = {str(k): table[k] for k in range(2, 11)}
+    cache.write_text(json.dumps({**rows, "6": {**table[6], "f": 5}}))
+    before = cache.read_text()
+    script = ROOT / "scripts" / "solve_blocks.py"
+    done = subprocess.run(
+        [sys.executable, "-O", str(script), "--kmax", "22", "--cache", str(cache)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: ") and "block table row k=6:" in line
+    assert cache.read_text() == before
 
 
 def test_solve_blocks_script_reports_a_budget_too_small(tmp_path):

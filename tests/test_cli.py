@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cubicpaths import Dag, __version__, check_conjecture, solve_block
+from cubicpaths.blocks import table_row
 from cubicpaths.cli import main
 from cubicpaths.fileio import (
     ParseError,
@@ -288,25 +289,23 @@ def test_block_command(capsys):
 def test_block_json_reports_the_cuts(capsys):
     assert main(["--format", "json", "block", "--k", "12"]) == 0
     outputs = json.loads(capsys.readouterr().out)["outputs"]
-    sol = solve_block(12)
-    assert (outputs["f"], outputs["nodes"]) == (sol.f, sol.nodes_explored)
-    cuts = ("dominance_cuts", "ladder_cuts", "relaxation_cuts")
-    assert [outputs[c] for c in cuts] == [getattr(sol, c) for c in cuts]
+    # the outputs are the block's row, as the stored table holds it
+    assert outputs == table_row(solve_block(12))
     assert outputs["dominance_cuts"] > 0 and outputs["ladder_cuts"] > 0
 
 
 @pytest.mark.parametrize(
-    "budget, stop, proven", ((None, "complete", True), (300, "budget", False))
+    "budget, stop, proven", ((None, "complete", True), (200, "budget", False))
 )
 def test_block_json_reports_floor_runs_and_provenance(budget, stop, proven, capsys):
-    # k=10's floor, 19, is f itself: no leaf beats it and the search runs
-    # again; 300 nodes prove k=9 (277) but stop k=10 (554) in its second run
+    # k=10's floor, 19, is f itself: a leaf worth the floor proves f in one
+    # run; 200 nodes prove k=9 (132) but stop k=10 (270)
     flags = [] if budget is None else ["--budget", str(budget)]
     assert main(["--format", "json", *flags, "block", "--k", "10"]) == 0
     report = json.loads(capsys.readouterr().out)
     outputs, provenance = report["outputs"], report["provenance"]
-    assert (outputs["floor"], outputs["proven_optimal"]) == (19, proven)
-    assert outputs["runs"] == 2
+    assert (outputs["floor"], outputs["proven"]) == (19, proven)
+    assert outputs["runs"] == 1
     assert (provenance["budget"], provenance["stop"]) == (budget, stop)
     assert provenance["seconds"] >= 0
     if budget is not None:
