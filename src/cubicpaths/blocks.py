@@ -109,6 +109,11 @@ def growth_factor(f: int, k: int) -> float:
     return math.exp(2.0 * math.log(f) / k)
 
 
+def reported_g2(f: int, k: int) -> float:
+    """g2 as block reports, bound rows and the stored table give it: 6 decimals."""
+    return round(growth_factor(f, k), 6)
+
+
 def check_assignment(k: int, edges: tuple[Edge, ...]) -> list[str]:
     """Re-evaluate every block constraint from scratch; [] means feasible."""
     out = []
@@ -514,7 +519,7 @@ def table_row(sol: BlockSolution) -> dict:
     """The stored form of a solved block; the one place a row's fields are named."""
     return {
         "f": sol.f,
-        "g2": round(growth_factor(sol.f, sol.k), 6),
+        "g2": reported_g2(sol.f, sol.k),
         "proven": sol.proven_optimal,
         "nodes": sol.nodes_explored,
         "dominance_cuts": sol.dominance_cuts,
@@ -546,7 +551,7 @@ def load_table(path) -> dict[int, dict]:
             raise ValueError(f"block table row k={k}: witness is infeasible: {issues[0]}")
         if recompute_counts(k, witness) != row["f"]:
             raise ValueError(f"block table row k={k}: witness does not reproduce f={row['f']}")
-        if row["g2"] != round(growth_factor(row["f"], k), 6):
+        if row["g2"] != reported_g2(row["f"], k):
             raise ValueError(f"block table row k={k}: g2={row['g2']} is not f's")
     return rows
 

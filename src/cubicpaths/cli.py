@@ -2,7 +2,8 @@
 
 Verbs: count, hamiltonize, tuple {decode,encode,mu,validate}, search, block,
 bound.  Every command is deterministic given identical flags and inputs,
-apart from the wall seconds that ``block`` reports in its provenance.
+apart from the wall seconds that ``block`` and ``bound`` report in their
+provenance.
 Exit status: 0 success, 1 validation or parse error, 2 incomplete result
 under --strict.
 """
@@ -267,7 +268,9 @@ def _parse_inject(text: str | None) -> dict[int, int]:
 
 def cmd_bound(args) -> int:
     overrides = _parse_inject(args.inject)
+    t0 = time.perf_counter()
     report = blocks.assemble_bound(args.range[0], args.range[1], args.budget, overrides)
+    seconds = time.perf_counter() - t0
     rows = [(r.k, r.f, r.g2) for r in report.rows]
     if args.csv:
         Path(args.csv).write_text(fileio.growth_csv(rows))
@@ -275,13 +278,20 @@ def cmd_bound(args) -> int:
         "bound",
         {"range": list(args.range), "inject": overrides and {str(k): v for k, v in overrides.items()}},
         {
-            "rows": [{"k": r.k, "f": r.f, "g2": r.g2, "proven": r.proven} for r in report.rows],
+            "rows": [
+                {"k": r.k, "f": r.f, "g2": blocks.reported_g2(r.f, r.k), "proven": r.proven}
+                for r in report.rows
+            ],
             "bound_base": report.bound_base,
             "argmax_k": report.argmax_k,
             "final_block_constant": report.final_block_constant,
             "rigorous": report.rigorous,
         },
-        {"budget": args.budget},
+        {
+            "budget": args.budget,
+            "stop": "complete" if report.rigorous else "budget",
+            "seconds": seconds,
+        },
     )
     lines = [f"k={r.k}: f={r.f} g2={r.g2:.6f}" for r in report.rows]
     lines.append(f"bound base: {report.bound_base:.4f} at k={report.argmax_k}")

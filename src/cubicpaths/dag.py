@@ -277,10 +277,14 @@ def structural_3ec(dag: Dag) -> tuple[bool, Witness | None]:
     The interval scan is one incremental sweep per start i: [i, i] is
     crossed by the 3 edges at i, and growing the interval to j turns each
     edge from j back into [i, j-1] from crossing to internal (-1) and adds
-    each other edge at j as crossing (+1).  Every step reads 3 neighbours,
-    so the scan costs O(n^2); i stays outer and j inner, so the witness is
-    the first interval in lexicographic order, as with a rescan of every
-    interval.
+    each other edge at j as crossing (+1).  While every in-neighbour of j
+    lies in [i, j-1], that step is outdeg(j) - indeg(j), the same for every
+    i.  Once some in-neighbour w of j lies below i, the sweep for i stops:
+    the edge (w, j) and the two path edges cross [i, j'] for every j' >= j.
+    Each step is O(1), so the scan still costs O(n^2) in the worst case.
+    i stays outer and j inner, and only intervals crossed by at least 3
+    edges are skipped, so the witness is the first interval in lexicographic
+    order, as with a rescan of every interval.
     """
     require_cubic(dag)
     if not is_on_ham_path(dag):
@@ -295,12 +299,14 @@ def structural_3ec(dag: Dag) -> tuple[bool, Witness | None]:
             balance -= 1
         if balance > 0:
             return False, ("initial-segment", k)
-    neighbours = [outs[v] + ins[v] for v in range(n + 1)]
+    low = [min(ins[v], default=0) for v in range(n + 1)]
+    step = [len(outs[v]) - len(ins[v]) for v in range(n + 1)]
     for i in range(2, n):
         crossing = 3
         for j in range(i + 1, n):
-            for w in neighbours[j]:
-                crossing += -1 if i <= w < j else 1
+            if low[j] < i:
+                break
+            crossing += step[j]
             if crossing == 2:
                 return False, ("interval", i, j)
     return True, None

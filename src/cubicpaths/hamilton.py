@@ -14,6 +14,11 @@ only made good if v reaches u, which the consecutive edges (w-1, w) for
 w > v guarantee once every later vertex has been hooked.  A single rewrite
 therefore runs sequentially, its moves editing one adjacency in place.
 Distinct graphs can be processed concurrently without restriction.
+
+The public one-move functions (``outgoing_move``, ``incoming_move``) check
+every precondition in full on a fresh graph.  ``hamiltonize`` shares
+their local checks but checks each global precondition once per phase, and
+after a move recounts only the vertices whose count can change.
 """
 from __future__ import annotations
 
@@ -135,7 +140,8 @@ def outgoing_move(dag: Dag, b: int) -> Dag:
     return _to_dag(outs, dag.profile)
 
 
-def _incoming_swap(outs: Adj, ins: Adj, v: int) -> Swap:
+def _require_hooked(outs: Adj, v: int) -> None:
+    """The global preconditions of an incoming move at v, by full scans."""
     n = len(outs) - 1
     for w in range(3, n + 1):
         if len(outs[w]) == 2 and w not in outs[w - 1]:
@@ -145,6 +151,10 @@ def _incoming_swap(outs: Adj, ins: Adj, v: int) -> Swap:
     for w in range(v + 1, n + 1):
         if w not in outs[w - 1]:
             raise MoveError(f"later vertex {w} does not follow its predecessor yet")
+
+
+def _incoming_swap(outs: Adj, ins: Adj, v: int) -> Swap:
+    """The swap of an incoming move at v, given ``_require_hooked(outs, v)``."""
     if len(ins[v]) != 2:
         raise MoveError(f"vertex {v} is not indegree-2")
     q = v - 1
@@ -172,6 +182,7 @@ def incoming_move(dag: Dag, v: int) -> Dag:
     """
     require_cubic(dag)
     outs, ins = adjacency(dag)
+    _require_hooked(outs, v)
     swap = _incoming_swap(outs, ins, v)
     (l2, _), (q, _) = swap[0]
     mu = count_paths(dag).mu
@@ -191,31 +202,63 @@ def hamiltonize(dag: Dag) -> tuple[Dag, MoveLog]:
     give mu(l2) <= mu(q), and every later vertex already follows its
     predecessor, so v reaches the vertex u that loses paths to it.
 
-    After each move the counts are recomputed only from the lowest head of a
-    removed or added edge upwards.  A count below that head cannot move: the
-    swap left the in-lists there untouched, and every edge goes forward, so
-    those counts read only in-lists below the head as well.
+    No move removes a path edge (w-1, w): an outgoing move at b removes
+    (l, b) with l < b-1 and (p, u1) with u1 > b, an incoming move at v
+    removes (l2, v) with l2 < v-1 and (q, u) with u > v.  So the incoming
+    moves' global preconditions are checked once each, not rescanned per
+    move: every outdegree-2 vertex follows its predecessor after the
+    outgoing phase, and v+1 follows v when the incoming phase reaches v (the
+    path edges above v+1 were checked at earlier steps).
 
-    Raises ``RewriteError`` if any logged move lowers a count (so the output
-    would not dominate the tree-sorted input) or the output is not on a
-    Hamiltonian path.  The checks are explicit and also run under ``-O``.
+    After each move only the counts that can change are recounted, in
+    increasing vertex order: the heads of the removed and added edges, whose
+    in-lists changed, and the out-neighbours of each vertex whose count
+    changed.  Every edge goes forward, so a vertex is reached after all its
+    in-neighbours; any other vertex reads the same in-list and the same
+    counts as before.  A move that changes no count (every outgoing move on
+    a tree-sorted graph) logs the same ``mu`` tuple before and after.
+
+    Raises ``RewriteError`` if a phase precondition fails, any logged move
+    lowers a count (so the output would not dominate the tree-sorted input)
+    or the output is not on a Hamiltonian path.  The checks are explicit and
+    also run under ``-O``.
     """
     start = tree_sort(dag)  # checks that dag is valid and 3-regular
     n = start.vertex_count
     outs, ins = adjacency(start)  # every move keeps every degree
     mu = count_paths(start).mu
     counts = [0, *mu]  # 1-based, kept equal to mu
+    dirty = bytearray(n + 1)  # vertices waiting to be recounted
     log: list[Move] = []
 
     def apply(kind: str, focus: int, swap: Swap) -> None:
         nonlocal mu
         _apply_swap(outs, ins, swap)
-        lo = min(v for pair in swap for _, v in pair)
-        for v in range(lo, n + 1):
-            counts[v] = sum(counts[u] for u in ins[v])
-        after = tuple(counts[1:])
+        heads = [v for pair in swap for _, v in pair]
+        pending = 0
+        for v in heads:
+            if not dirty[v]:
+                dirty[v] = 1
+                pending += 1
+        changed = lowered = False
+        v = min(heads)
+        while pending:
+            if dirty[v]:
+                dirty[v] = 0
+                pending -= 1
+                count = sum(map(counts.__getitem__, ins[v]))
+                if count != counts[v]:
+                    changed = True
+                    lowered = lowered or count < counts[v]
+                    counts[v] = count
+                    for w in outs[v]:
+                        if not dirty[w]:
+                            dirty[w] = 1
+                            pending += 1
+            v += 1
+        after = tuple(counts[1:]) if changed else mu
         move = Move(kind, focus, swap[0], swap[1], mu, after)
-        if not all(a >= b for a, b in zip(after, mu)):
+        if lowered:
             raise RewriteError(f"{kind} move at {focus} lowered a path count: {move}")
         log.append(move)
         mu = after
@@ -223,7 +266,12 @@ def hamiltonize(dag: Dag) -> tuple[Dag, MoveLog]:
     for b in range(3, n + 1):
         if len(outs[b]) == 2 and b not in outs[b - 1]:
             apply("outgoing", b, _outgoing_swap(outs, ins, b))
+    for w in range(3, n + 1):
+        if len(outs[w]) == 2 and w not in outs[w - 1]:
+            raise RewriteError(f"outdegree-2 vertex {w} is unhooked after the outgoing moves")
     for v in range(n, 2, -1):
+        if v < n and v + 1 not in outs[v]:
+            raise RewriteError(f"vertex {v + 1} does not follow {v} at incoming step {v}")
         if len(ins[v]) == 2 and v - 1 not in ins[v]:
             apply("incoming", v, _incoming_swap(outs, ins, v))
 

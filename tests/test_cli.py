@@ -343,6 +343,31 @@ def test_bound_command(tmp_path, capsys):
     assert lines[2] == "36,11117,1.677943"
 
 
+def test_bound_and_block_rows_of_one_k_agree(capsys):
+    assert main(["--format", "json", "bound", "--range", "6", "11"]) == 0
+    rows = json.loads(capsys.readouterr().out)["outputs"]["rows"]
+    assert [r["k"] for r in rows] == list(range(6, 12))
+    for row in rows:
+        assert main(["--format", "json", "block", "--k", str(row["k"])]) == 0
+        block = json.loads(capsys.readouterr().out)["outputs"]
+        assert {name: block[name] for name in ("f", "g2", "proven")} == {
+            name: row[name] for name in ("f", "g2", "proven")
+        }
+    assert rows[1]["g2"] == 1.873444  # k=7, f=9: 6 decimals, as in the stored table
+
+
+@pytest.mark.parametrize("budget, stop, rigorous", ((None, "complete", True), (200, "budget", False)))
+def test_bound_json_reports_stop_and_seconds(budget, stop, rigorous, capsys):
+    # 200 nodes prove k=6..9 but stop k=10 (270 nodes)
+    flags = [] if budget is None else ["--budget", str(budget)]
+    assert main(["--format", "json", *flags, "bound", "--range", "6", "11"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["outputs"]["rigorous"] is rigorous
+    provenance = report["provenance"]
+    assert (provenance["budget"], provenance["stop"]) == (budget, stop)
+    assert provenance["seconds"] >= 0
+
+
 def test_bound_inject_names_a_bad_pair(capsys):
     assert main(["bound", "--range", "6", "11", "--inject", "7=9,6"]) == 1
     err = capsys.readouterr().err.splitlines()

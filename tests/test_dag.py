@@ -263,11 +263,13 @@ def test_structural_3ec_matches_reference_on_random_rewritten_graphs():
     results = []
     for _ in range(300):
         h, _ = hamiltonize(random_cubic(rng, 2 * rng.randint(8, 32)))
-        g = decode(encode(h))
-        got = structural_3ec(g)
-        assert got == _reference_3ec(g), g.edges
-        results.append(got)
-    assert _witness_kinds(results) == {None, "initial-segment", "interval"}
+        # the rewrite's own output and its trip through the tuple codec
+        for g in (h, decode(encode(h))):
+            got = structural_3ec(g)
+            assert got == _reference_3ec(g), g.edges
+            results.append(got)
+    assert _witness_kinds(results[::2]) == {None, "initial-segment", "interval"}
+    assert _witness_kinds(results[1::2]) == {None, "initial-segment", "interval"}
 
 
 def test_structural_3ec_agrees_with_brute_oracle_beyond_criterion_04():

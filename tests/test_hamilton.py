@@ -234,3 +234,34 @@ def test_hamiltonize_raises_on_lowering_move(monkeypatch):
     monkeypatch.setattr(hamilton, "tree_sort", lambda dag: dag)
     with pytest.raises(RewriteError, match="outgoing move at 6 lowered"):
         hamiltonize(g)
+
+
+@pytest.mark.parametrize(
+    "phase, message",
+    (
+        ("outgoing", "outdegree-2 vertex {v} is unhooked after the outgoing moves"),
+        ("incoming", "vertex {v} does not follow {p} at incoming step {p}"),
+    ),
+)
+def test_hamiltonize_checks_each_phase_precondition(monkeypatch, phase, message):
+    # The first move of one phase is made a no-op (its swap re-adds the
+    # edges it removes), so that vertex stays unhooked; the phase check that
+    # replaced the per-move precondition scans must fail with RewriteError,
+    # also under python -O.
+    g = random_cubic(random.Random(2), 16)  # moves: outgoing at 4, 6, 7; incoming at 13..9
+    name = f"_{phase}_swap"
+    swap = getattr(hamilton, name)
+    skipped = []
+
+    def skip_first(outs, ins, v):
+        removed, added = swap(outs, ins, v)
+        if skipped:
+            return removed, added
+        skipped.append(v)
+        return removed, removed
+
+    monkeypatch.setattr(hamilton, name, skip_first)
+    with pytest.raises(RewriteError) as excinfo:
+        hamiltonize(g)
+    (v,) = skipped
+    assert str(excinfo.value) == message.format(v=v, p=v - 1)
