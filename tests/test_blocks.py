@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cubicpaths import assemble_bound, blocks, brute_block, growth_factor, solve_block
+from cubicpaths import __version__, assemble_bound, blocks, brute_block, growth_factor, solve_block
 from cubicpaths.blocks import (
     BRUTE_LIMIT,
     BudgetTooSmallError,
@@ -17,8 +17,11 @@ from cubicpaths.blocks import (
     check_assignment,
     load_table,
     recompute_counts,
+    save_table,
     solve_rung,
+    table_row,
 )
+from cubicpaths.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE = ROOT / "data" / "block_table.json"
@@ -397,22 +400,66 @@ def _remove_an_arc(row):
     return {**row, "assignment": [a for a in row["assignment"] if a != arc]}
 
 
+def _spoil_row(k, spoil):
+    """Spoil row k of a table keyed by str(k)."""
+    return lambda rows: {**rows, str(k): spoil(rows[str(k)])}
+
+
 @pytest.mark.parametrize(
-    "k, spoil, reason",
+    "spoil, message",
     (
-        (6, lambda row: {**row, "f": 5}, "does not reproduce f=5"),
-        (7, _remove_an_arc, "witness is infeasible: vertex"),
-        (8, lambda row: {key: v for key, v in row.items() if key != "nodes"}, "lacks nodes"),
-        (9, lambda row: {**row, "g2": row["g2"] + 1e-6}, "is not f's"),
+        (_spoil_row(6, lambda row: {**row, "f": 5}), r"row k=6: .*does not reproduce f=5"),
+        (_spoil_row(7, _remove_an_arc), r"row k=7: witness is infeasible: vertex"),
+        (
+            _spoil_row(8, lambda row: {key: v for key, v in row.items() if key != "nodes"}),
+            r"row k=8: lacks nodes",
+        ),
+        (_spoil_row(9, lambda row: {**row, "g2": row["g2"] + 1e-6}), r"row k=9: .*is not f's"),
+        (lambda rows: list(rows.values()), r"[^ ]*table\.json: not a JSON object keyed by k"),
+        (_spoil_row(5, lambda row: 3), r"row k=5: not a JSON object"),
+        (
+            _spoil_row(7, lambda row: {**row, "assignment": [[0, 1, 2], *row["assignment"]]}),
+            r"row k=7: assignment is not a list of \[i, j\] pairs",
+        ),
+        (lambda rows: {**rows, "x": rows["5"]}, r"[^ ]*table\.json: key 'x' is not a block size"),
+        (_spoil_row(8, lambda row: {**row, "proven": 1}), r"row k=8: proven is not true or false"),
+        (lambda rows: {"1": rows["2"], **rows}, r"row k=1: blocks need k >= 2"),
+        (_spoil_row(6, lambda row: {**row, "f": 7.0}), r"row k=6: .*does not reproduce f=7.0"),
+        (_spoil_row(6, lambda row: {**row, "note": "edited"}), r"row k=6: has unknown note"),
     ),
-    ids=("edited-f", "arc-removed", "missing-field", "wrong-g2"),
+    ids=(
+        "edited-f",
+        "arc-removed",
+        "missing-field",
+        "wrong-g2",
+        "top-level-list",
+        "row-not-an-object",
+        "arc-not-a-pair",
+        "key-not-an-integer",
+        "proven-not-a-bool",
+        "k-below-2",
+        "f-not-an-integer",
+        "unknown-field",
+    ),
 )
-def test_load_table_rejects_a_bad_row(table, tmp_path, k, spoil, reason):
-    bad = {str(r): spoil(row) if r == k else row for r, row in table.items()}
+def test_load_table_rejects_a_bad_row(table, tmp_path, spoil, message):
     path = tmp_path / "table.json"
-    path.write_text(json.dumps(bad))
-    with pytest.raises(ValueError, match=rf"^block table row k={k}\b.*{reason}"):
+    path.write_text(json.dumps(spoil({str(k): row for k, row in table.items()})))
+    with pytest.raises(ValueError, match=rf"^block table {message}"):
         load_table(path)
+
+
+def test_load_table_names_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text('{"2": ')
+    with pytest.raises(ValueError, match=r"^block table [^ ]*table\.json: not JSON: "):
+        load_table(path)
+
+
+def test_save_table_writes_the_stored_table_byte_for_byte(table, tmp_path):
+    path = tmp_path / "new" / "table.json"  # a missing directory is created
+    save_table(path, table)
+    assert path.read_bytes() == TABLE.read_bytes()
 
 
 def test_finish_rejects_wrong_count_under_optimize():
@@ -431,61 +478,96 @@ def test_finish_rejects_wrong_count_under_optimize():
     assert "does not reproduce its count" in _fresh_process(script, "-O")
 
 
-def test_solve_blocks_script_extends_a_seeded_table(table, tmp_path):
-    cache = tmp_path / "table.json"
-    seeded = {str(k): table[k] for k in range(2, 11)}
-    cache.write_text(json.dumps(seeded))
-    script = ROOT / "scripts" / "solve_blocks.py"
-    done = subprocess.run(
-        [sys.executable, str(script), "--kmax", "12", "--cache", str(cache)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    grown = load_table(cache)
+def _seed(tmp_path, rows):
+    """A table file holding ``rows`` keyed by int k, and its bytes."""
+    path = tmp_path / "table.json"
+    save_table(path, rows)
+    return path, path.read_bytes()
+
+
+def test_block_table_extends_a_seeded_table(table, tmp_path, capsys):
+    seeded = {k: table[k] for k in range(2, 11)}
+    path, _ = _seed(tmp_path, seeded)
+    argv = ["--format", "json", "block", "--k", "12", "--table", str(path)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    grown = load_table(path)
     assert sorted(grown) == list(range(2, 13))
-    assert {str(k): grown[k] for k in range(2, 11)} == seeded
+    assert {k: grown[k] for k in range(2, 11)} == seeded
     # the same search tree and witness as the stored rows
     assert [_solved(grown[k]) for k in (11, 12)] == [_solved(table[k]) for k in (11, 12)]
+    # one progress line per solved row on stderr; stdout is the report alone
+    assert [line.split(":")[0] for line in captured.err.splitlines()] == ["k=11", "k=12"]
+    report = json.loads(captured.out)
+    assert report["outputs"] == table_row(solve_block(12))  # as without --table
+    assert report["provenance"]["solver"] == __version__
 
 
-def test_solve_blocks_script_refuses_a_row_that_fails_its_audit(table, tmp_path):
+def test_block_table_refuses_a_row_that_fails_its_audit(table, tmp_path):
     # f(6) = 5 would be a false rung under every larger block; the audit
     # stops the run before it solves or writes anything, also under -O
-    cache = tmp_path / "table.json"
-    rows = {str(k): table[k] for k in range(2, 11)}
-    cache.write_text(json.dumps({**rows, "6": {**table[6], "f": 5}}))
-    before = cache.read_text()
-    script = ROOT / "scripts" / "solve_blocks.py"
+    rows = {k: table[k] for k in range(2, 11)}
+    path, before = _seed(tmp_path, {**rows, 6: {**table[6], "f": 5}})
     done = subprocess.run(
-        [sys.executable, "-O", str(script), "--kmax", "22", "--cache", str(cache)],
+        [sys.executable, "-O", "-m", "cubicpaths.cli", "block", "--k", "22", "--table", str(path)],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert done.returncode == 1
     assert done.stdout == ""
     (line,) = done.stderr.splitlines()
     assert line.startswith("error: ") and "block table row k=6:" in line
-    assert cache.read_text() == before
+    assert path.read_bytes() == before
 
 
-def test_solve_blocks_script_reports_a_budget_too_small(tmp_path):
-    cache = tmp_path / "table.json"
-    script = ROOT / "scripts" / "solve_blocks.py"
-    done = subprocess.run(
-        [sys.executable, str(script), "--kmax", "8", "--budget", "2", "--cache", str(cache)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 1
-    assert done.stderr.splitlines() == [
-        "error: budget 2 too small to reach any feasible assignment for k=4"
-    ]
+def test_block_table_reports_a_budget_too_small(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    assert main(["--budget", "2", "block", "--k", "8", "--table", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    *progress, error = captured.err.splitlines()
+    assert [line.split(":")[0] for line in progress] == ["k=2", "k=3"]
+    assert error == "error: budget 2 too small to reach any feasible assignment for k=4"
     # the rows solved before k=4 were saved as they were solved, and stay
-    grown = json.loads(cache.read_text())
+    grown = json.loads(path.read_text())
     assert sorted(grown, key=int) == ["2", "3"]
     assert (grown["2"]["f"], grown["2"]["proven"]) == (2, True)
     assert (grown["3"]["f"], grown["3"]["proven"]) == (3, False)
+
+
+def test_block_table_answers_a_stored_row_without_solving(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "table.json"
+    path.write_bytes(TABLE.read_bytes())
+
+    def no_solve(*args):
+        raise AssertionError("a stored row was solved again")
+
+    monkeypatch.setattr(blocks, "solve_rung", no_solve)
+    assert main(["block", "--k", "40", "--table", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "f(40) = 28727"
+    assert captured.err == ""
+    assert path.read_bytes() == TABLE.read_bytes()
+
+
+def test_block_table_solves_an_unproven_row_again(table, tmp_path, capsys):
+    rows = {k: table[k] for k in range(2, 11)}
+    path, _ = _seed(tmp_path, {**rows, 10: {**table[10], "proven": False}})
+    assert main(["block", "--k", "10", "--table", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "proven: True" in captured.out.splitlines()
+    assert [line.split(":")[0] for line in captured.err.splitlines()] == ["k=10"]
+    grown = load_table(path)
+    assert {k: grown[k] for k in range(2, 10)} == {k: rows[k] for k in range(2, 10)}
+    assert _solved(grown[10]) == _solved(table[10])
+
+
+def test_block_table_rejects_a_block_of_one_vertex(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    assert main(["block", "--k", "1", "--table", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: blocks need k >= 2, not k=1"]
+    assert not path.exists()

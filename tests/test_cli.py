@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,10 @@ vertices 12
         + [(1, 3), (1, 12), (2, 8), (4, 6), (5, 11), (7, 9), (10, 12)]
     )
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+# the paper's block maxima f(35..40)
+INJECT = "35=8233,36=11117,37=14033,38=17293,39=22781,40=28726"
 
 
 @pytest.fixture
@@ -266,7 +271,14 @@ def test_search_conn_below_its_first_n_is_no_counterexample(n, capsys):
     assert "COUNTEREXAMPLE" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv", (["search", "--n", "3"], ["block", "--k", "5"]))
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["search", "--n", "3"],
+        ["block", "--k", "5"],
+        ["block", "--k", "5", "--table", str(ROOT / "data" / "block_table.json")],
+    ),
+)
 def test_negative_budget_is_an_error_line(argv, capsys):
     assert main(["--budget", "-5", *argv]) == 1
     captured = capsys.readouterr()
@@ -334,8 +346,7 @@ def test_block_graph_out(tmp_path, capsys):
 
 def test_bound_command(tmp_path, capsys):
     csv = tmp_path / "growth.csv"
-    inject = "35=8233,36=11117,37=14033,38=17293,39=22781,40=28726"
-    assert main(["bound", "--range", "35", "40", "--inject", inject, "--csv", str(csv)]) == 0
+    assert main(["bound", "--range", "35", "40", "--inject", INJECT, "--csv", str(csv)]) == 0
     out = capsys.readouterr().out
     assert "bound base: 1.6779 at k=36" in out
     lines = csv.read_text().splitlines()
@@ -397,6 +408,21 @@ def test_bound_rejects_a_block_of_one_vertex(argv, capsys):
 
 def test_bound_window_too_small(capsys):
     assert main(["bound", "--range", "35", "39"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["count", "/nonexistent"],
+        ["bound", "--range", "35", "40", "--inject", INJECT, "--csv", "/missing/dir/x.csv"],
+    ),
+)
+def test_a_file_that_cannot_be_read_or_written_is_an_error_line(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "No such file or directory" in line
 
 
 def test_determinism(tt_file, capsys):

@@ -9,7 +9,7 @@
   somewhere in the package outside its own body;
 * no dead module-level name: every name a module assigns at its top level
   (except ``__version__``) is referenced somewhere in the package, the
-  scripts, the tests or the benchmark outside its own assignment;
+  tests or the benchmark outside its own assignment;
 * one version: ``pyproject.toml`` reads it from ``cubicpaths.__version__``
   rather than keeping a second copy.
 """
@@ -98,7 +98,7 @@ def test_no_dead_private_helper():
 def test_no_dead_module_level_name():
     users = [
         path
-        for top in ("src", "scripts", "tests", "perfbench")
+        for top in ("src", "tests", "perfbench")
         for path in (ROOT / top).rglob("*.py")
     ]
     trees = {path: _tree(path) for path in users}
