@@ -655,54 +655,40 @@ def brute_block(k: int) -> BlockSolution:
     return _finish(k, f, arcs, leaves, True)
 
 
-def assemble_bound(
-    k_lo: int,
-    k_hi: int,
-    budget: int | None = None,
-    f_overrides: dict[int, int] | None = None,
-) -> GrowthReport:
-    """Growth table over a window of block sizes plus the assembled bound.
-
-    The window must span at least six consecutive sizes: block boundaries
-    land on a '10' kind pattern, which three-in-a-row exclusion guarantees
-    within five extra steps.  ``f_overrides`` injects known optima (e.g.
-    previously computed values) instead of solving.  Sizes below the window
-    come from ``f_overrides`` too; the others are read off the solved ladder
-    only when some window size was solved, so a fully injected window solves
-    nothing.
-    """
+def check_window(k_lo: int, k_hi: int) -> None:
+    """Reject a window of block sizes that ``assemble_bound`` cannot take."""
     if k_hi < k_lo + 5:
         raise ValueError("window must cover at least 6 consecutive block sizes")
-    overrides = f_overrides or {}
-    smallest = min([k_lo, *overrides])
-    if smallest < 2:
-        raise ValueError(f"blocks need k >= 2, not k={smallest}")
-    rows = []
-    solved = False
+    if k_lo < 2:
+        raise ValueError(f"blocks need k >= 2, not k={k_lo}")
+
+
+def assemble_bound(k_lo: int, k_hi: int, table: Mapping[int, Mapping]) -> GrowthReport:
+    """Growth table over a window of block sizes plus the assembled bound.
+
+    Pure arithmetic over ``table``, rows keyed by k that hold ``f`` and
+    ``proven`` as ``load_table`` and ``table_row`` give them; it never
+    solves, and a window size with no row is a ``ValueError``.  The window
+    must span at least six consecutive sizes: block boundaries land on a
+    '10' kind pattern, which three-in-a-row exclusion guarantees within five
+    extra steps.  The final block constant is the largest f below the
+    window, known only when every size 2..k_lo-1 has a proven row.
+    """
+    check_window(k_lo, k_hi)
     for k in range(k_lo, k_hi + 1):
-        if k in overrides:
-            rows.append(GrowthRow(k, overrides[k], growth_factor(overrides[k], k), True))
-        else:
-            sol = solve_block(k, budget)
-            solved = True
-            rows.append(GrowthRow(k, sol.f, growth_factor(sol.f, k), sol.proven_optimal))
-    bound_base = max(r.g2 for r in rows)
-    argmax_k = min(r.k for r in rows if r.g2 == bound_base)
-    known_below = {}
-    for k in range(2, k_lo):
-        if k in overrides:
-            known_below[k] = overrides[k]
-        elif solved:
-            sol = solve_block(k, budget)  # a memo hit: solved on the way up
-            if sol.proven_optimal:
-                known_below[k] = sol.f
-    final_constant = (
-        max(known_below.values()) if len(known_below) == k_lo - 2 and k_lo > 2 else None
+        if k not in table:
+            raise ValueError(f"no block table row for k={k}")
+    rows = tuple(
+        GrowthRow(k, table[k]["f"], growth_factor(table[k]["f"], k), table[k]["proven"])
+        for k in range(k_lo, k_hi + 1)
     )
+    bound_base = max(r.g2 for r in rows)
+    below = [table.get(k) for k in range(2, k_lo)]
+    known = below and all(row is not None and row["proven"] for row in below)
     return GrowthReport(
-        rows=tuple(rows),
-        argmax_k=argmax_k,
+        rows=rows,
+        argmax_k=min(r.k for r in rows if r.g2 == bound_base),
         bound_base=bound_base,
-        final_block_constant=final_constant,
+        final_block_constant=max(row["f"] for row in below) if known else None,
         rigorous=all(r.proven for r in rows),
     )

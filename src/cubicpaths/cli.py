@@ -2,8 +2,8 @@
 
 Verbs: count, hamiltonize, tuple {decode,encode,mu,validate}, search, block,
 bound.  Every command is deterministic given identical flags and inputs,
-apart from the wall seconds that ``block`` and ``bound`` report in their
-provenance.
+apart from the wall seconds that ``search``, ``block`` and ``bound`` report,
+with how they stopped (``complete`` or ``budget``), in their provenance.
 Exit status: 0 success, 1 validation or parse error, 2 incomplete result
 under --strict.
 
@@ -12,11 +12,17 @@ is an empty one).  It audits every row with ``blocks.load_table``, solves
 each size 2..K without a proven row, ascending, on the ladder of the proven
 rows, rewrites the file after each, with one progress line on stderr, and
 reports row K as a solve is reported; the row's solver goes into the
-provenance.  A result is proven relative to the table's proven rows.
+provenance.  ``bound --range LO HI --table PATH`` walks the same table up to
+HI and assembles the bound from its rows, solving only the missing rungs.
+Without ``--table`` both commands walk an empty table held in memory.  With
+it, the provenance holds the SHA-256 of the file as the command leaves it
+and ``"relative_to": "table"``: a result is proven relative to the table's
+proven rows.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -152,6 +158,7 @@ def cmd_tuple(args) -> int:
 
 def cmd_search(args) -> int:
     prunes = frozenset(args.prune or ())
+    t0 = time.perf_counter()
     if args.check:
         flags = (("--class", args.klass), ("--conn", args.conn), ("--simple", args.simple))
         given = [flag for flag, value in flags if value]
@@ -168,6 +175,7 @@ def cmd_search(args) -> int:
             prunes=prunes,
         )
         report = search.find_extremal(spec, args.budget)
+    seconds = time.perf_counter() - t0
     outputs = {
         "max_total": report.max_total,
         "witnesses": [",".join(map(str, w)) for w in report.witnesses],
@@ -217,7 +225,11 @@ def cmd_search(args) -> int:
             "prunes": sorted(spec.prunes),
         },
         outputs,
-        {"budget": args.budget},
+        {
+            "budget": args.budget,
+            "stop": "complete" if report.complete else "budget",
+            "seconds": seconds,
+        },
     )
     _emit(args, doc, lines)
     if not report.complete:
@@ -225,13 +237,17 @@ def cmd_search(args) -> int:
     return OK
 
 
-def _extend_table(path: Path, k_max: int, budget: int | None) -> dict[int, dict]:
-    """The audited rows at ``path``, every size 2..k_max proven or solved."""
+def _extend_table(path: Path | None, k_max: int, budget: int | None) -> dict[int, dict]:
+    """The audited rows at ``path``, every size 2..k_max proven or solved.
+
+    With no path the table starts empty and stays in memory: no file is
+    written and no progress line printed.
+    """
     if k_max < 2:
         raise ValueError(f"blocks need k >= 2, not k={k_max}")
     if budget is not None and budget < 0:  # rejected even when no size is solved
         raise ValueError(f"budget must be non-negative, not {budget}")
-    rows = blocks.load_table(path) if path.exists() else {}
+    rows = blocks.load_table(path) if path and path.exists() else {}
     ladder = {k: row["f"] for k, row in rows.items() if row["proven"]}
     for k in range(2, k_max + 1):
         if k in ladder:
@@ -243,13 +259,25 @@ def _extend_table(path: Path, k_max: int, budget: int | None) -> dict[int, dict]
             ladder[k] = sol.f
         row = blocks.table_row(sol)
         rows[k] = {**row, "seconds": round(seconds, 2), "solver": __version__}
-        blocks.save_table(path, rows)
-        print(
-            f"k={k}: f={sol.f} g2={row['g2']} proven={sol.proven_optimal} "
-            f"nodes={sol.nodes_explored} ({seconds:.1f}s)",
-            file=sys.stderr,
-            flush=True,
-        )
+        if path:
+            blocks.save_table(path, rows)
+            print(
+                f"k={k}: f={sol.f} g2={row['g2']} proven={sol.proven_optimal} "
+                f"nodes={sol.nodes_explored} ({seconds:.1f}s)",
+                file=sys.stderr,
+                flush=True,
+            )
+    return rows
+
+
+def _table_rows(args, k_max: int, inputs: dict, provenance: dict) -> dict[int, dict]:
+    """``_extend_table`` on ``--table``; the report names the table as it is left."""
+    path = Path(args.table) if args.table else None
+    rows = _extend_table(path, k_max, args.budget)
+    if path:
+        inputs["table"] = args.table
+        provenance["table_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        provenance["relative_to"] = "table"
     return rows
 
 
@@ -257,14 +285,10 @@ def cmd_block(args) -> int:
     t0 = time.perf_counter()
     inputs = {"k": args.k}
     provenance = {"budget": args.budget}
-    if args.table:
-        stored = _extend_table(Path(args.table), args.k, args.budget)[args.k]
-        # its time and solver tell how the row was made, not what it is
-        row = {key: v for key, v in stored.items() if key not in ("seconds", "solver")}
-        inputs["table"] = args.table
-        provenance["solver"] = stored.get("solver")
-    else:
-        row = blocks.table_row(blocks.solve_block(args.k, args.budget))
+    stored = _table_rows(args, args.k, inputs, provenance)[args.k]
+    # its time and solver tell how the row was made, not what it is
+    row = {key: v for key, v in stored.items() if key not in ("seconds", "solver")}
+    provenance["solver"] = stored.get("solver")
     provenance["stop"] = "complete" if row["proven"] else "budget"
     provenance["seconds"] = time.perf_counter() - t0
     doc = fileio.make_report("block", inputs, row, provenance)
@@ -286,33 +310,21 @@ def cmd_block(args) -> int:
     return OK
 
 
-def _parse_inject(text: str | None) -> dict[int, int]:
-    if not text:
-        return {}
-    out = {}
-    for part in text.split(","):
-        k, _, f = part.partition("=")
-        try:
-            size, value = int(k), int(f)
-        except ValueError:
-            raise ValueError(f"--inject takes k=f pairs of integers, not {part!r}") from None
-        if size in out:
-            raise ValueError(f"--inject gives k={size} more than once")
-        out[size] = value
-    return out
-
-
 def cmd_bound(args) -> int:
-    overrides = _parse_inject(args.inject)
+    lo, hi = args.range
+    blocks.check_window(lo, hi)  # before the ladder is solved up to hi
     t0 = time.perf_counter()
-    report = blocks.assemble_bound(args.range[0], args.range[1], args.budget, overrides)
-    seconds = time.perf_counter() - t0
+    inputs = {"range": [lo, hi]}
+    provenance = {"budget": args.budget}
+    report = blocks.assemble_bound(lo, hi, _table_rows(args, hi, inputs, provenance))
+    provenance["stop"] = "complete" if report.rigorous else "budget"
+    provenance["seconds"] = time.perf_counter() - t0
     rows = [(r.k, r.f, r.g2) for r in report.rows]
     if args.csv:
         Path(args.csv).write_text(fileio.growth_csv(rows))
     doc = fileio.make_report(
         "bound",
-        {"range": list(args.range), "inject": overrides and {str(k): v for k, v in overrides.items()}},
+        inputs,
         {
             "rows": [
                 {"k": r.k, "f": r.f, "g2": blocks.reported_g2(r.f, r.k), "proven": r.proven}
@@ -323,11 +335,7 @@ def cmd_bound(args) -> int:
             "final_block_constant": report.final_block_constant,
             "rigorous": report.rigorous,
         },
-        {
-            "budget": args.budget,
-            "stop": "complete" if report.rigorous else "budget",
-            "seconds": seconds,
-        },
+        provenance,
     )
     lines = [f"k={r.k}: f={r.f} g2={r.g2:.6f}" for r in report.rows]
     lines.append(f"bound base: {report.bound_base:.4f} at k={report.argmax_k}")
@@ -396,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="growth table over a window of block sizes")
     p.add_argument("--range", type=int, nargs=2, required=True, metavar=("LO", "HI"))
     p.add_argument("--csv", help="write k,f,g2 rows here")
-    p.add_argument("--inject", help="comma-separated k=f pairs of known optima")
+    p.add_argument("--table", help="block table JSON to read, extend up to HI and bound from")
     p.set_defaults(func=cmd_bound)
     return ap
 

@@ -228,7 +228,7 @@ def test_criterion_11_growth_arithmetic():
     t0 = time.time()
     for k, f in PAPER_TABLE.items():
         assert abs(growth_factor(f, k) - PAPER_G2[k]) < 2e-4, k
-    report = assemble_bound(35, 40, f_overrides=PAPER_TABLE)
+    report = assemble_bound(35, 40, {k: {"f": f, "proven": True} for k, f in PAPER_TABLE.items()})
     assert report.argmax_k == 36
     assert abs(report.bound_base - 1.6779) < 2e-4
     assert time.time() - t0 < 1.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,7 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from cubicpaths import __version__, assemble_bound, blocks, brute_block, growth_factor, solve_block
+from conftest import merged_tuples
+from cubicpaths import (
+    __version__,
+    assemble_bound,
+    blocks,
+    brute_block,
+    count_paths,
+    decode,
+    growth_factor,
+    solve_block,
+    vertex_kinds,
+)
 from cubicpaths.blocks import (
     BRUTE_LIMIT,
     BudgetTooSmallError,
@@ -100,29 +112,80 @@ def test_paper_growth_row_tolerance():
         assert abs(growth_factor(f, k) - PAPER_G2[k]) < 2e-4
 
 
+def _proven(values):
+    """Table rows holding only what ``assemble_bound`` reads, every one proven."""
+    return {k: {"f": f, "proven": True} for k, f in values.items()}
+
+
 def test_assemble_bound_injected():
-    report = assemble_bound(35, 40, f_overrides=PAPER_TABLE)
+    report = assemble_bound(35, 40, _proven(PAPER_TABLE))
     assert report.argmax_k == 36
     assert abs(report.bound_base - 1.6779) < 2e-4
     assert report.rigorous
 
 
-def test_assemble_bound_window_guard():
+def test_assemble_bound_window_guard(table):
     with pytest.raises(ValueError):
-        assemble_bound(35, 39)
-    # a block of one vertex is no block, injected or not
-    for lo, overrides in ((1, {1: 1}), (6, {1: 1, 6: 7}), (1, None)):
+        assemble_bound(35, 39, table)
+    # a block of one vertex is no block, whatever the table holds
+    for lo, rows in ((1, _proven({1: 1})), (1, table)):
         with pytest.raises(ValueError, match="blocks need k >= 2, not k=1"):
-            assemble_bound(lo, lo + 5, f_overrides=overrides)
+            assemble_bound(lo, lo + 5, rows)
+    # a window size with no row is an error, not a solve
+    with pytest.raises(ValueError, match=r"^no block table row for k=41$"):
+        assemble_bound(36, 41, table)
 
 
-def test_assemble_bound_small_range():
-    report = assemble_bound(6, 11)
+def test_assemble_bound_small_range(table):
+    report = assemble_bound(6, 11, {k: table[k] for k in range(2, 12)})
     assert report.rigorous
     assert [r.f for r in report.rows] == [7, 9, 11, 15, 19, 23]
     assert report.final_block_constant == 5  # max f over k = 2..5
     for row in report.rows:
         assert row.g2 == pytest.approx(math.exp(2 * math.log(row.f) / row.k), rel=1e-12)
+
+
+def _window_arcs(dag, b, e):
+    """The block of path vertices b..e: path edges, then each other edge mapped.
+
+    Block vertex c is v - b + 1; an edge from before b into the window comes
+    from the dummy source 0, one from the window past e goes to the dummy
+    sink k+1, and an edge with no end in the window is dropped.
+    """
+    k = e - b + 1
+    others = list(dag.edges)
+    for i in range(1, dag.vertex_count):
+        others.remove((i, i + 1))  # one copy of each path edge
+    arcs = [(i, i + 1) for i in range(k + 1)]
+    for u, v in others:
+        if b <= u and v <= e:
+            arcs.append((u - b + 1, v - b + 1))
+        elif u < b <= v <= e:
+            arcs.append((0, v - b + 1))
+        elif b <= u <= e < v:
+            arcs.append((u - b + 1, k + 1))
+    return tuple(arcs)
+
+
+def test_every_window_of_a_real_graph_is_a_feasible_block(table):
+    # k path vertices from an outgoing to an incoming one of a 3-edge-connected
+    # graph are a block the model admits, and grow the count at most f(k)-fold
+    graphs = windows = 0
+    for length in range(2, 8):
+        for t in merged_tuples(length, connectivity=3):
+            dag = decode(t)
+            kinds, mu = vertex_kinds(dag), count_paths(dag).mu
+            n = dag.vertex_count
+            graphs += 1
+            for b in range(2, n):
+                for e in range(b + 1, n):
+                    if kinds[b - 1] != 0 or kinds[e - 1] != 1:
+                        continue
+                    k, arcs = e - b + 1, _window_arcs(dag, b, e)
+                    assert check_assignment(k, arcs) == [], (t.values, b, e)
+                    assert mu[e - 1] <= mu[b - 1] * table[k]["f"], (t.values, b, e)
+                    windows += 1
+    assert (graphs, windows) == (490, 8_722)
 
 
 def test_budget_exhaustion_flags(table):
@@ -342,11 +405,18 @@ def test_solve_block_does_not_depend_on_call_history():
     assert (sol.f, sol.proven_optimal, sol.nodes_explored) == (137, True, 4_312)
 
 
-def test_injected_window_does_not_depend_on_call_history():
-    overrides = {8: 11, 9: 15, 10: 19, 11: 23, 12: 31, 13: 39}
-    assert assemble_bound(8, 13, f_overrides=overrides).final_block_constant is None
-    solve_block(7)
-    assert assemble_bound(8, 13, f_overrides=overrides).final_block_constant is None
+def test_assemble_bound_never_solves(table, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("assemble_bound solved a block")
+
+    monkeypatch.setattr(blocks, "solve_rung", no_solve)
+    monkeypatch.setattr(blocks, "_solve", no_solve)
+    window = _proven({8: 11, 9: 15, 10: 19, 11: 23, 12: 31, 13: 39})
+    # a size below the window without a proven row leaves the constant unknown
+    assert assemble_bound(8, 13, window).final_block_constant is None
+    partial = {**window, **{k: table[k] for k in range(2, 8)}, 7: {**table[7], "proven": False}}
+    assert assemble_bound(8, 13, partial).final_block_constant is None
+    assert assemble_bound(8, 13, table).final_block_constant == 9  # f(7)
 
 
 def test_ladder_solves_each_size_once_and_matches_the_table(table):
@@ -500,7 +570,11 @@ def test_block_table_extends_a_seeded_table(table, tmp_path, capsys):
     assert [line.split(":")[0] for line in captured.err.splitlines()] == ["k=11", "k=12"]
     report = json.loads(captured.out)
     assert report["outputs"] == table_row(solve_block(12))  # as without --table
-    assert report["provenance"]["solver"] == __version__
+    provenance = report["provenance"]
+    assert provenance["solver"] == __version__
+    # the table as the command left it, which the result is relative to
+    assert provenance["table_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert provenance["relative_to"] == "table"
 
 
 def test_block_table_refuses_a_row_that_fails_its_audit(table, tmp_path):
@@ -550,6 +624,10 @@ def test_block_table_answers_a_stored_row_without_solving(tmp_path, monkeypatch,
     assert captured.out.splitlines()[0] == "f(40) = 28727"
     assert captured.err == ""
     assert path.read_bytes() == TABLE.read_bytes()
+    assert main(["--format", "json", "block", "--k", "40", "--table", str(path)]) == 0
+    provenance = json.loads(capsys.readouterr().out)["provenance"]
+    assert provenance["table_sha256"] == hashlib.sha256(TABLE.read_bytes()).hexdigest()
+    assert provenance["relative_to"] == "table"
 
 
 def test_block_table_solves_an_unproven_row_again(table, tmp_path, capsys):

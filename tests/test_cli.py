@@ -1,9 +1,10 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from cubicpaths import Dag, __version__, check_conjecture, solve_block
+from cubicpaths import __version__, blocks, check_conjecture, solve_block
 from cubicpaths.blocks import table_row
 from cubicpaths.cli import main
 from cubicpaths.fileio import (
@@ -26,8 +27,7 @@ vertices 12
 )
 
 ROOT = Path(__file__).resolve().parent.parent
-# the paper's block maxima f(35..40)
-INJECT = "35=8233,36=11117,37=14033,38=17293,39=22781,40=28726"
+TABLE = ROOT / "data" / "block_table.json"
 
 
 @pytest.fixture
@@ -35,6 +35,14 @@ def tt_file(tmp_path):
     p = tmp_path / "tt.graph"
     p.write_text(TT_TEXT)
     return str(p)
+
+
+@pytest.fixture
+def table_copy(tmp_path):
+    """A copy of the stored block table, which a test may extend or spoil."""
+    path = tmp_path / "block_table.json"
+    path.write_bytes(TABLE.read_bytes())
+    return path
 
 
 @pytest.fixture
@@ -276,7 +284,7 @@ def test_search_conn_below_its_first_n_is_no_counterexample(n, capsys):
     (
         ["search", "--n", "3"],
         ["block", "--k", "5"],
-        ["block", "--k", "5", "--table", str(ROOT / "data" / "block_table.json")],
+        ["block", "--k", "5", "--table", str(TABLE)],
     ),
 )
 def test_negative_budget_is_an_error_line(argv, capsys):
@@ -285,6 +293,20 @@ def test_negative_budget_is_an_error_line(argv, capsys):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert err == ["error: budget must be non-negative, not -5"]
+
+
+@pytest.mark.parametrize(
+    "budget, stop, complete", ((None, "complete", True), (10, "budget", False))
+)
+def test_search_json_reports_stop_and_seconds(budget, stop, complete, capsys):
+    flags = [] if budget is None else ["--budget", str(budget)]
+    argv = ["--format", "json", *flags, "search", "--n", "6", "--class", "merged"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["outputs"]["complete"] is complete
+    provenance = report["provenance"]
+    assert (provenance["budget"], provenance["stop"]) == (budget, stop)
+    assert provenance["seconds"] >= 0
 
 
 def test_search_strict_budget(capsys):
@@ -332,8 +354,8 @@ def test_block_budget_too_small_is_an_error_line(argv, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: budget 1 too small to reach any feasible assignment")
-    # the requested block (bound: the window's first), not the rung that ran out
-    assert err[0].endswith(f"for k={argv[2]}")
+    # the rung that ran out, as ``block --table`` names it
+    assert err[0].endswith("for k=3")
 
 
 def test_block_graph_out(tmp_path, capsys):
@@ -344,14 +366,43 @@ def test_block_graph_out(tmp_path, capsys):
     parse_graph_text(text)  # syntactically round-trippable
 
 
-def test_bound_command(tmp_path, capsys):
+def test_bound_command(table_copy, tmp_path, monkeypatch, capsys):
+    def no_solve(*args):
+        raise AssertionError("a stored row was solved again")
+
+    monkeypatch.setattr(blocks, "solve_rung", no_solve)
     csv = tmp_path / "growth.csv"
-    assert main(["bound", "--range", "35", "40", "--inject", INJECT, "--csv", str(csv)]) == 0
-    out = capsys.readouterr().out
-    assert "bound base: 1.6779 at k=36" in out
+    argv = ["bound", "--range", "35", "40", "--table", str(table_copy), "--csv", str(csv)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "bound base: 1.6779 at k=36" in captured.out
+    assert "final block constant: 6743" in captured.out
+    assert captured.err == ""
     lines = csv.read_text().splitlines()
     assert lines[0] == "k,f,g2"
     assert lines[2] == "36,11117,1.677943"
+    assert table_copy.read_bytes() == TABLE.read_bytes()
+    assert main(["--format", "json", *argv]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["inputs"] == {"range": [35, 40], "table": str(table_copy)}
+    provenance = report["provenance"]
+    assert provenance["table_sha256"] == hashlib.sha256(TABLE.read_bytes()).hexdigest()
+    assert provenance["relative_to"] == "table"
+
+
+def test_bound_table_names_the_file_it_leaves(tmp_path, capsys):
+    # rows 2..11 are solved into an empty table; the digest is the new file's
+    path = tmp_path / "table.json"
+    argv = ["--format", "json", "bound", "--range", "6", "11", "--table", str(path)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.err.splitlines()] == [
+        f"k={k}" for k in range(2, 12)
+    ]
+    report = json.loads(captured.out)
+    assert report["provenance"]["table_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert main(["--format", "json", "bound", "--range", "6", "11"]) == 0
+    assert report["outputs"] == json.loads(capsys.readouterr().out)["outputs"]
 
 
 def test_bound_and_block_rows_of_one_k_agree(capsys):
@@ -379,46 +430,46 @@ def test_bound_json_reports_stop_and_seconds(budget, stop, rigorous, capsys):
     assert provenance["seconds"] >= 0
 
 
-def test_bound_inject_names_a_bad_pair(capsys):
-    assert main(["bound", "--range", "6", "11", "--inject", "7=9,6"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert "'6'" in err[0]
-    # a repeated k is an error, not a silent choice of its last value
-    assert main(["bound", "--range", "6", "11", "--inject", "6=7,6=99"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == ["error: --inject gives k=6 more than once"]
-
-
 @pytest.mark.parametrize(
     "argv",
     (
-        ["bound", "--range", "1", "6", "--inject", "1=1"],
-        ["bound", "--range", "6", "11", "--inject", "1=1"],
+        ["bound", "--range", "1", "6", "--table", "/nonexistent/table.json"],
+        ["--budget", "1", "bound", "--range", "1", "6"],
         ["bound", "--range", "1", "6"],
     ),
 )
 def test_bound_rejects_a_block_of_one_vertex(argv, capsys):
+    # before any table is read or any block solved
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: blocks need k >= 2, not k=1"]
 
 
-def test_bound_window_too_small(capsys):
-    assert main(["bound", "--range", "35", "39"]) == 1
+def test_bound_window_too_small(table_copy, monkeypatch, capsys):
+    def no_solve(*args):
+        raise AssertionError("a block was solved for a window that is too small")
+
+    monkeypatch.setattr(blocks, "solve_rung", no_solve)
+    monkeypatch.setattr(blocks, "load_table", no_solve)
+    for table in ([], ["--table", str(table_copy)]):
+        assert main(["bound", "--range", "35", "39", *table]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: window must cover at least 6 consecutive block sizes"
+        ]
 
 
 @pytest.mark.parametrize(
     "argv",
     (
         ["count", "/nonexistent"],
-        ["bound", "--range", "35", "40", "--inject", INJECT, "--csv", "/missing/dir/x.csv"],
+        ["bound", "--range", "35", "40", "--table", "{table}", "--csv", "/missing/dir/x.csv"],
     ),
 )
-def test_a_file_that_cannot_be_read_or_written_is_an_error_line(argv, capsys):
-    assert main(argv) == 1
+def test_a_file_that_cannot_be_read_or_written_is_an_error_line(argv, table_copy, capsys):
+    assert main([arg.format(table=table_copy) for arg in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
