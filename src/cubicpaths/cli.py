@@ -4,6 +4,8 @@ Verbs: count, hamiltonize, tuple {decode,encode,mu,validate}, search, block,
 bound.  Every command is deterministic given identical flags and inputs,
 apart from the wall seconds that ``search``, ``block`` and ``bound`` report,
 with how they stopped (``complete`` or ``budget``), in their provenance.
+``search`` also lists there each raise of its maximum as [nodes so far, new
+maximum] under ``incumbents``.
 Exit status: 0 success, 1 validation or parse error, 2 incomplete result
 under --strict.
 
@@ -229,6 +231,8 @@ def cmd_search(args) -> int:
             "budget": args.budget,
             "stop": "complete" if report.complete else "budget",
             "seconds": seconds,
+            # each raise of the maximum: [nodes so far, new maximum]
+            "incumbents": [list(step) for step in report.incumbent_trail],
         },
     )
     _emit(args, doc, lines)

@@ -6,24 +6,31 @@ walked in canonical form only: entry 2 ranges over [2, v_1], so the twin
 that swaps the two source arcs (the same graph) is never built.  Three
 cuts drop a child prefix before it is visited:
 
-* dead prefix (exact): ``tuples.prefix_issue`` finds a connectivity rule
-  that the fixed entries already break, so no completion is valid;
-* parallel edge (exact, simple searches only): ``tuples.parallel_prefix``
-  finds an arc the fixed entries already place beside a path edge, so no
-  completion decodes to a simple graph;
+* dead prefix (exact): the fixed entries already break one of the
+  connectivity rules of ``tuples.prefix_issue``, so no completion is valid;
+* parallel edge (exact, simple searches only): the fixed entries already
+  place an arc beside a path edge by the rule of ``tuples.parallel_prefix``,
+  so no completion decodes to a simple graph;
 * bound: ``tuple_mu``'s recurrence fixes arc_mu of arcs 1..k+1 from a
   prefix of length k, and every later arc counts at most as if all open
   arcs before it had landed.  When that bound on the final total is
   strictly below the incumbent maximum, no completion can reach it.  Ties
   survive, so every witness is still found, in the same order.
 
-The walk is the class test.  The entry ranges, the canonical order and the
-two exact cuts at every k are exactly what ``validity_issues`` and
-``is_simple_tuple`` check, so a leaf is not tested again; the one class
-rule no prefix decides, a merged tuple's value n at least twice, is tested
-at the leaf.  A change that gives the walk its own incremental state
-instead of calling these functions should bring back the full leaf test,
-which is then an independent check again.
+The walk keeps its own prefix state.  Placing an entry updates it and
+taking the entry back undoes it: a histogram of the values, the running
+maximum (the connectivity-2 bridge rule), low_k = #{j <= k : v_j <= k}
+(the merged gap rule; low_k = low_{k-1} + #{j <= k : v_j = k}), the arc_mu
+of the fixed arcs summed by value, and that sum over values <= k.  So the
+exact cuts and the arc_mu of arc k+1 cost O(1), and the bound loops over
+the open positions k+1..n only.  A self-contained interval [a, k] needs
+v_k == k, and only then does the walk call ``tuples.prefix_issue``.  The
+one class rule no prefix decides, a merged tuple's value n at least twice,
+is tested at the leaf.  The walk does not call the class test, so every
+leaf it reaches is tested again with ``validity_issues`` and, for simple
+searches, ``is_simple_tuple``: an independent check that raises
+RuntimeError, also under ``python -O``, if the walk ever leaves its class.
+
 Two optional prunes discard provably suboptimal tuples:
 
 * ``double-label``: two arcs before position i share the value i; lowering
@@ -53,9 +60,9 @@ from .tuples import (
     encode,
     is_simple_tuple,
     is_valid,
-    parallel_prefix,
     prefix_issue,
     tuple_mu,
+    validity_issues,
 )
 
 PRUNE_DOUBLE_LABEL = "double-label"
@@ -143,6 +150,7 @@ class ExtremalReport:
     dead_prefix_cuts: int = 0
     simple_cuts: int = 0
     bound_cuts: int = 0
+    incumbent_trail: tuple[tuple[int, int], ...] = ()  # (nodes so far, new maximum)
     closed_form: ClosedForm | None = None
     counterexamples: tuple[tuple[int, ...], ...] = ()
 
@@ -177,26 +185,19 @@ def _double_label_prunable_for(t: ArcTuple, spec: SearchSpec) -> bool:
     return False
 
 
-def _total_bound(values: list[int], k: int) -> int:
+def _prefix_bound(values: list[int], landed: list[int], k: int, cum: int, fixed: int) -> int:
     """Upper bound on tuple_mu's total over all tuples starting with values[:k].
 
-    The recurrence fixes arc_mu of arcs 1..k+1 from the prefix.  Arc i > k+1
-    counts at most 1 + the known arc_mu of fixed arcs with value <= i-1 +
-    the bounds of the open arcs k+1..i-1, as if each of them lands before i.
+    ``landed[v]`` sums arc_mu over the fixed arcs 1..k of value v, ``cum``
+    sums it over values <= k, and ``fixed`` over arcs 1..k.  Arc k+1 counts
+    exactly 1 + cum; every later arc i counts at most 1 + the landed sum
+    at values <= i-1 + the bounds of the open arcs k+1..i-1, as if each of
+    them lands before i.
     """
-    n = len(values)
-    landed = [0] * (n + 1)  # arc_mu of the fixed arcs, summed by value
-    cum = 0  # landed summed over values <= i-1
-    fixed = 0
     open_bound = 0
-    for i in range(1, n + 1):
-        cum += landed[i - 1]
-        if i <= k:
-            mu = 1 + cum
-            landed[values[i - 1]] += mu
-            fixed += mu
-        else:
-            open_bound += 1 + cum + open_bound
+    for i in range(k + 1, len(values) + 1):
+        open_bound += 1 + cum + open_bound
+        cum += landed[i]
     return 1 + fixed + open_bound
 
 
@@ -209,60 +210,101 @@ def enumerate_tuples(
 
     Merged tuples are enumerated in canonical form only (first entry at
     least the second); the twin tuple decodes to the identical graph.
-    Child prefixes that ``prefix_issue`` rejects, or for simple searches
-    ``parallel_prefix``, are never visited.  When
-    ``best`` is given, it returns the incumbent total (or None), and a child
-    whose ``_total_bound`` is strictly below it is not visited either, so
-    only tuples with a total below the incumbent go missing.
+    Placing entry k+1 updates the prefix state of the module docstring in
+    O(1), and taking it back undoes it: ``count`` and ``landed`` per value
+    live here, and ``rec(k, top, low, cum, fixed)`` receives the largest
+    entry, #{j <= k : v_j <= k}, the landed sum at values <= k and the
+    arc_mu sum of arcs 1..k.  A child prefix that breaks a connectivity
+    rule, or for simple searches forces a parallel edge, is never visited.
+    When ``best`` is given, it returns the incumbent total (or None), and a
+    child whose ``_prefix_bound`` is strictly below it is not visited
+    either, so only tuples with a total below the incumbent go missing.
+    Every leaf is tested again with ``validity_issues`` (and
+    ``is_simple_tuple`` for simple searches); one outside the class raises
+    RuntimeError.
     """
     n = spec.n
-    merged = spec.klass is TupleClass.MERGED
+    klass = spec.klass
+    merged = klass is TupleClass.MERGED
+    conn = spec.connectivity
+    simple = spec.simple_only
     if budget is None:
         budget = Budget()
     values = [0] * n
+    count = [0] * (n + 1)
+    landed = [0] * (n + 1)
 
-    def rec(i: int):
+    def rec(k: int, top: int, low: int, cum: int, fixed: int):
         budget.spend()
-        if i == n:
+        if k == n:
             # connectivity 2 and 3 force this at k = n-1; connectivity 1 does not
-            if merged and values.count(n) < 2:
+            if merged and count[n] < 2:
                 return
-            t = ArcTuple(tuple(values), spec.klass)
+            t = ArcTuple(tuple(values), klass)
+            issues = validity_issues(t, conn)
+            if simple and not is_simple_tuple(t):
+                issues.append("it decodes to a graph with a parallel edge")
+            if issues:
+                raise RuntimeError(f"the walk left its class at {t.values}: {'; '.join(issues)}")
             if PRUNE_DOUBLE_LABEL in spec.prunes and _double_label_prunable_for(t, spec):
                 return
             if PRUNE_KIND_RUN in spec.prunes and kind_run_prunable(t):
                 return
             yield t
             return
-        lo = 2 if merged and i == 0 else i + 1
-        hi = values[0] if merged and i == 1 else n
+        pos = k + 1
+        mu = 1 + cum  # arc_mu of arc pos
+        fixed += mu
+        lo = 2 if merged and k == 0 else pos
+        hi = values[0] if merged and k == 1 else n
         for v in range(lo, hi + 1):
-            values[i] = v
-            if prefix_issue(values, i + 1, spec.klass, spec.connectivity) is not None:
+            values[k] = v
+            count[v] += 1
+            landed[v] += mu
+            child_top = v if v > top else top
+            child_low = low + count[pos]
+            child_cum = cum + landed[pos]
+            # the rules of tuples.prefix_issue; [a, pos] can only be a
+            # self-contained interval when arc pos lands at pos
+            if conn == 2:
+                dead = pos < n and child_top <= pos
+            elif conn == 3:
+                dead = (merged and 2 <= pos < n and pos - child_low < 2) or (
+                    v == pos and prefix_issue(values, pos, klass, 3) is not None
+                )
+            else:
+                dead = False
+            if dead:
                 budget.dead_prefix_cuts += 1
-                continue
-            if spec.simple_only and parallel_prefix(values, i + 1, spec.klass):
+            elif simple and (  # the rules of tuples.parallel_prefix
+                (v == 2) if merged and pos == 1
+                else (count[n] == 2) if merged and pos == n
+                else (v == pos and count[pos] == 1)
+            ):
                 budget.simple_cuts += 1
-                continue
-            if best is not None:
-                incumbent = best()
-                if incumbent is not None and _total_bound(values, i + 1) < incumbent:
-                    budget.bound_cuts += 1
-                    continue
-            yield from rec(i + 1)
+            elif best is not None and (incumbent := best()) is not None and (
+                _prefix_bound(values, landed, pos, child_cum, fixed) < incumbent
+            ):
+                budget.bound_cuts += 1
+            else:
+                yield from rec(pos, child_top, child_low, child_cum, fixed)
+            count[v] -= 1
+            landed[v] -= mu
 
-    yield from rec(0)
+    yield from rec(0, 0, 0, 0, 0)
 
 
 def find_extremal(spec: SearchSpec, budget_limit: int | None = None) -> ExtremalReport:
     """Maximum total over the spec's tuples, with the witnesses attaining it.
 
     Without the kind-run prune these are all the witnesses; with it, the
-    maximum is the same but tied witnesses can be missing.
+    maximum is the same but tied witnesses can be missing.  Each raise of
+    the incumbent is recorded as (nodes so far, new maximum).
     """
     budget = Budget(budget_limit)
     best: int | None = None
     witnesses: list[tuple[int, ...]] = []
+    trail: list[tuple[int, int]] = []
     complete = True
     try:
         for t in enumerate_tuples(spec, budget, lambda: best):
@@ -270,6 +312,7 @@ def find_extremal(spec: SearchSpec, budget_limit: int | None = None) -> Extremal
             if best is None or total > best:
                 best = total
                 witnesses = [t.values]
+                trail.append((budget.used, total))
             elif total == best:
                 witnesses.append(t.values)
     except BudgetExceeded:
@@ -283,6 +326,7 @@ def find_extremal(spec: SearchSpec, budget_limit: int | None = None) -> Extremal
         dead_prefix_cuts=budget.dead_prefix_cuts,
         simple_cuts=budget.simple_cuts,
         bound_cuts=budget.bound_cuts,
+        incumbent_trail=tuple(trail),
     )
 
 

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per numbered criterion, each printing a
 pass line (run with ``pytest -s`` to watch them stream).
 
-Criterion 10's full table over block sizes 35..40 takes hours and runs only
-when CUBICPATHS_EXTENDED=1; its mandatory fast subset (18..24) always runs.
+Criterion 10's full table over block sizes 35..40 solves in about half a
+minute, but runs only when CUBICPATHS_EXTENDED=1: it passes k=35..39 and
+fails at k=40, where this block model gives f(40) = 28727 and the paper's
+table 28726.  Its mandatory fast subset (18..24) always runs.
 """
 import itertools
 import os

@@ -200,11 +200,15 @@ def test_search_fibonacci(capsys):
     assert "max: 22" in out
     assert "7,3,4,5,6,7,7" in out
     assert main(["--format", "json", "search", "--n", "6", "--check", "fibonacci"]) == 0
-    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    doc = json.loads(capsys.readouterr().out)
+    outputs = doc["outputs"]
     r = check_conjecture("fibonacci", 6)
     cuts = ("nodes", "dead_prefix_cuts", "simple_cuts", "bound_cuts")
     assert [outputs[key] for key in cuts] == [getattr(r, key) for key in cuts]
     assert r.dead_prefix_cuts > 0 and r.bound_cuts > 0 and r.simple_cuts == 0
+    # each raise of the maximum as [nodes so far, new maximum], ending at 22
+    assert doc["provenance"]["incumbents"] == [[14, 19], [18, 20], [35, 22]]
+    assert r.incumbent_trail == ((14, 19), (18, 20), (35, 22))
 
 
 def test_search_check_reports_the_searched_spec(capsys):

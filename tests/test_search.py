@@ -21,6 +21,7 @@ from cubicpaths import (
     tuple_mu,
     validate,
 )
+from cubicpaths import search
 from cubicpaths.search import (
     ALL_PRUNES,
     PRUNE_DOUBLE_LABEL,
@@ -28,7 +29,6 @@ from cubicpaths.search import (
     Budget,
     BudgetExceeded,
     _double_label_prunable_for,
-    _total_bound,
     conjecture_spec,
 )
 from cubicpaths.tuples import is_canonical
@@ -108,6 +108,29 @@ def _in_class_tuples(length: int, klass: TupleClass, conn: int, simple: bool):
     return out
 
 
+def _total_bound(values: list[int], k: int) -> int:
+    """Plain reference for the walk's bound over tuples starting with values[:k].
+
+    Runs the whole tuple_mu recurrence: arcs 1..k+1 count exactly, and each
+    later arc i counts at most 1 + the arc_mu of fixed arcs with value <= i-1
+    + the bounds of the open arcs k+1..i-1, as if each of them lands before i.
+    """
+    n = len(values)
+    landed = [0] * (n + 1)  # arc_mu of the fixed arcs, summed by value
+    cum = 0  # landed summed over values <= i-1
+    fixed = 0
+    open_bound = 0
+    for i in range(1, n + 1):
+        cum += landed[i - 1]
+        if i <= k:
+            mu = 1 + cum
+            landed[values[i - 1]] += mu
+            fixed += mu
+        else:
+            open_bound += 1 + cum + open_bound
+    return 1 + fixed + open_bound
+
+
 def _kept_by_prunes(t: ArcTuple, spec: SearchSpec) -> bool:
     if PRUNE_DOUBLE_LABEL in spec.prunes and _double_label_prunable_for(t, spec):
         return False
@@ -135,8 +158,69 @@ def test_search_matches_brute_oracle(klass, conn):
 
 
 @pytest.mark.parametrize("conn", (1, 2, 3))
+@pytest.mark.parametrize("klass", (TupleClass.BOUNDARY, TupleClass.MERGED))
+def test_incremental_bound_matches_the_plain_recurrence(klass, conn, monkeypatch):
+    # An incumbent of 0 cuts nothing, so the walk bounds every prefix it
+    # keeps; each bound it computes from its pushed state must equal the
+    # whole recurrence run on the prefix, and every prefix of every
+    # in-class tuple must be among them.
+    seen = set()
+
+    def checked_bound(values, landed, k, cum, fixed):
+        found = prefix_bound(values, landed, k, cum, fixed)
+        assert found == _total_bound(values, k), (values[:k], found)
+        seen.add(tuple(values[:k]))
+        return found
+
+    prefix_bound = search._prefix_bound
+    monkeypatch.setattr(search, "_prefix_bound", checked_bound)
+    for length in range(1, 8):
+        for simple in (False, True):
+            in_class = _in_class_tuples(length, klass, conn, simple)
+            spec = SearchSpec(length, klass, conn, simple)
+            seen.clear()
+            assert list(enumerate_tuples(spec, best=lambda: 0)) == in_class, spec
+            wanted = {t.values[:k] for t in in_class for k in range(1, length + 1)}
+            assert wanted <= seen, (spec, sorted(wanted - seen)[:3])
+
+
+@pytest.mark.parametrize(
+    "name,n,prunes,counters",
+    [
+        ("fibonacci", 3, frozenset(), (9, 7, 0, 1)),
+        ("fibonacci", 4, frozenset(), (22, 21, 0, 6)),
+        ("fibonacci", 5, frozenset(), (71, 75, 0, 38)),
+        ("fibonacci", 6, frozenset(), (273, 289, 0, 236)),
+        ("fibonacci", 7, frozenset(), (1125, 1171, 0, 1383)),
+        ("fibonacci", 8, frozenset(), (5031, 5078, 0, 8055)),
+        ("fibonacci", 9, frozenset(), (23015, 21927, 0, 46127)),
+        ("simple-2ec", 7, ALL_PRUNES, (913, 242, 371, 1317)),
+    ],
+)
+def test_walk_counters_are_pinned(name, n, prunes, counters):
+    # nodes and the cuts by source, as the walk that recomputed the bound
+    # and the class rules for every child counted them
+    r = check_conjecture(name, n, prunes=prunes)
+    assert r.complete
+    assert (r.nodes, r.dead_prefix_cuts, r.simple_cuts, r.bound_cuts) == counters
+
+
+def test_leaf_retest_rejects_a_tuple_outside_the_class(monkeypatch):
+    monkeypatch.setattr(search, "validity_issues", lambda t, conn: ["planted issue"])
+    with pytest.raises(RuntimeError, match="left its class at .*: planted issue"):
+        find_extremal(SearchSpec(5, TupleClass.MERGED, 3))
+
+
+def test_leaf_retest_rejects_a_parallel_edge_in_a_simple_search(monkeypatch):
+    monkeypatch.setattr(search, "is_simple_tuple", lambda t: False)
+    with pytest.raises(RuntimeError, match="parallel edge"):
+        find_extremal(SearchSpec(5, TupleClass.MERGED, 2, simple_only=True))
+    assert find_extremal(SearchSpec(5, TupleClass.MERGED, 2)).complete
+
+
+@pytest.mark.parametrize("conn", (1, 2, 3))
 def test_merged_walk_matches_brute_oracle_at_length_8(conn):
-    # the walk alone decides the class: no leaf re-test backs it up
+    # the walk decides the class; the leaf re-test would raise if it did not
     in_class = _in_class_tuples(8, TupleClass.MERGED, conn, False)
     simple_ones = [t for t in in_class if is_simple(decode(t))]
     for simple, expected in ((False, in_class), (True, simple_ones)):
