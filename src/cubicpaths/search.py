@@ -12,24 +12,34 @@ cuts drop a child prefix before it is visited:
   place an arc beside a path edge by the rule of ``tuples.parallel_prefix``,
   so no completion decodes to a simple graph;
 * bound: ``tuple_mu``'s recurrence fixes arc_mu of arcs 1..k+1 from a
-  prefix of length k, and every later arc counts at most as if all open
-  arcs before it had landed.  When that bound on the final total is
-  strictly below the incumbent maximum, no completion can reach it.  Ties
-  survive, so every witness is still found, in the same order.
+  prefix of length k, and every later arc i counts at most as if the open
+  arcs before it had landed, all but those the class keeps pending.  Every
+  tuple of the class has need(g) arcs j <= g with v_j > g at gap g = i-1:
+  1 by the bridge rule max(v_1..v_g) > g (connectivity 2, and connectivity
+  3 on boundary tuples, where it is the interval rule at a = 1), 2 by the
+  merged gap rule at connectivity 3 (2 <= g <= n-1), and at least 1 at
+  g = n-1 on every merged tuple, since the value n occurs twice and arc n
+  is one of them.  Whatever the fixed arcs do not supply, open arcs do,
+  so arc i's bound leaves out that many of the smallest open-arc bounds.
+  When the bound on the final total is strictly below the incumbent
+  maximum, no completion can reach it.  Ties survive, so every witness is
+  still found, in the same order.
 
 The walk keeps its own prefix state.  Placing an entry updates it and
 taking the entry back undoes it: a histogram of the values, the running
 maximum (the connectivity-2 bridge rule), low_k = #{j <= k : v_j <= k}
-(the merged gap rule; low_k = low_{k-1} + #{j <= k : v_j = k}), the arc_mu
-of the fixed arcs summed by value, and that sum over values <= k.  So the
-exact cuts and the arc_mu of arc k+1 cost O(1), and the bound loops over
-the open positions k+1..n only.  A self-contained interval [a, k] needs
-v_k == k, and only then does the walk call ``tuples.prefix_issue``.  The
-one class rule no prefix decides, a merged tuple's value n at least twice,
-is tested at the leaf.  The walk does not call the class test, so every
-leaf it reaches is tested again with ``validity_issues`` and, for simple
-searches, ``is_simple_tuple``: an independent check that raises
-RuntimeError, also under ``python -O``, if the walk ever leaves its class.
+(the merged gap rule; low_k = low_{k-1} + #{j <= k : v_j = k}), the
+smallest label per value, the arc_mu of the fixed arcs summed by value, and
+that sum over values <= k.  So the exact cuts and the arc_mu of arc k+1
+cost O(1), and the bound loops over the open positions k+1..n only, in
+O(1) each.  A self-contained interval [a, k] needs v_k == k, and only then
+does the walk scan for one, with ``tuples.closed_interval`` on its own
+counts and smallest labels per value.  The one class rule no prefix
+decides, a merged tuple's value n at least twice, is tested at the leaf.
+The walk does not call the class test, so every leaf it reaches is tested
+again with ``validity_issues`` and, for simple searches,
+``is_simple_tuple``: an independent check that raises RuntimeError, also
+under ``python -O``, if the walk ever leaves its class.
 
 Two optional prunes discard provably suboptimal tuples:
 
@@ -56,11 +66,11 @@ from .dag import reverse, vertex_kinds
 from .tuples import (
     ArcTuple,
     TupleClass,
+    closed_interval,
     decode,
     encode,
     is_simple_tuple,
     is_valid,
-    prefix_issue,
     tuple_mu,
     validity_issues,
 )
@@ -185,20 +195,61 @@ def _double_label_prunable_for(t: ArcTuple, spec: SearchSpec) -> bool:
     return False
 
 
-def _prefix_bound(values: list[int], landed: list[int], k: int, cum: int, fixed: int) -> int:
-    """Upper bound on tuple_mu's total over all tuples starting with values[:k].
+def _prefix_bound(
+    values: list[int],
+    landed: list[int],
+    count: list[int],
+    need: list[int],
+    k: int,
+    low: int,
+    cum: int,
+    fixed: int,
+) -> int:
+    """Upper bound on tuple_mu's total over the in-class tuples starting with values[:k].
 
-    ``landed[v]`` sums arc_mu over the fixed arcs 1..k of value v, ``cum``
-    sums it over values <= k, and ``fixed`` over arcs 1..k.  Arc k+1 counts
-    exactly 1 + cum; every later arc i counts at most 1 + the landed sum
-    at values <= i-1 + the bounds of the open arcs k+1..i-1, as if each of
-    them lands before i.
+    ``landed[v]`` sums arc_mu over the fixed arcs 1..k of value v and
+    ``count[v]`` counts them; ``low`` is #{j <= k : v_j <= k}, ``cum`` the
+    landed sum at values <= k and ``fixed`` the arc_mu sum of arcs 1..k.
+    Arc k+1 counts exactly 1 + cum.  Every later arc i counts at most 1 +
+    the landed sum at values <= i-1 + the bounds b_j of the open arcs
+    k+1..i-1 that land before i.  Every tuple of the class keeps need[g]
+    arcs j <= g pending at gap g = i-1 (v_j > g):
+
+    * 1 for 1 <= g <= n-1 at connectivity 2, and at connectivity 3 on
+      boundary tuples: the bridge rule max(v_1..v_g) > g, which at
+      connectivity 3 the interval rule at a = 1 implies;
+    * 2 for 2 <= g <= n-1 on merged tuples at connectivity 3: the gap rule
+      asks for at least 2 arcs across the boundary after gap g;
+    * at least 1 at g = n-1 on merged tuples at every connectivity: the
+      value n occurs at least twice and arc n is one of them.
+
+    pend(g) = #{j <= k : v_j > g} of them are fixed arcs: k - low at g = k,
+    less ``count[g]`` at each later gap.  So at least r = need[g] - pend(g)
+    open arcs before i land after it, and arc i's bound leaves out the r
+    smallest b_j (all of them, if there are fewer).  Each b_j is at least
+    1 + the landed sum before arc j, so arc k+1's is the smallest, and the
+    loop tracks the smallest of the later ones.  Every in-class arc_mu_j
+    is at most b_j, and dropping the r smallest b_j leaves the largest sum
+    any r pending arcs allow, so the bound is admissible.
     """
-    open_bound = 0
-    for i in range(k + 1, len(values) + 1):
-        open_bound += 1 + cum + open_bound
-        cum += landed[i]
-    return 1 + fixed + open_bound
+    n = len(values)
+    if k == n:
+        return 1 + fixed
+    pend = k - low
+    first = 1 + cum  # arc k+1 counts exactly; it is the smallest open bound
+    second = 0  # smallest open bound after arc k+1, once there is one
+    open_sum = first
+    for g in range(k + 1, n):  # arc g+1 counts the arcs landed by gap g
+        cum += landed[g]
+        pend -= count[g]
+        r = need[g] - pend
+        b = 1 + cum + open_sum
+        if r > 0:
+            b -= first + second if r > 1 else first
+        open_sum += b
+        if b < second or not second:
+            second = b
+    return 1 + fixed + open_sum
 
 
 def enumerate_tuples(
@@ -211,14 +262,15 @@ def enumerate_tuples(
     Merged tuples are enumerated in canonical form only (first entry at
     least the second); the twin tuple decodes to the identical graph.
     Placing entry k+1 updates the prefix state of the module docstring in
-    O(1), and taking it back undoes it: ``count`` and ``landed`` per value
-    live here, and ``rec(k, top, low, cum, fixed)`` receives the largest
-    entry, #{j <= k : v_j <= k}, the landed sum at values <= k and the
-    arc_mu sum of arcs 1..k.  A child prefix that breaks a connectivity
+    O(1), and taking it back undoes it: ``count``, ``first`` and ``landed``
+    per value live here, and ``rec(k, top, low, cum, fixed)`` receives the
+    largest entry, #{j <= k : v_j <= k}, the landed sum at values <= k and
+    the arc_mu sum of arcs 1..k.  A child prefix that breaks a connectivity
     rule, or for simple searches forces a parallel edge, is never visited.
     When ``best`` is given, it returns the incumbent total (or None), and a
     child whose ``_prefix_bound`` is strictly below it is not visited
-    either, so only tuples with a total below the incumbent go missing.
+    either, so only tuples with a total below the incumbent go missing; the
+    bound's ``need`` list is built once per spec.
     Every leaf is tested again with ``validity_issues`` (and
     ``is_simple_tuple`` for simple searches); one outside the class raises
     RuntimeError.
@@ -232,7 +284,21 @@ def enumerate_tuples(
         budget = Budget()
     values = [0] * n
     count = [0] * (n + 1)
+    first = [0] * (n + 1)  # smallest fixed label per value, read where count > 0
     landed = [0] * (n + 1)
+    need = [0] * (n + 1)  # arcs pending at each gap in every tuple of the class
+    if conn >= 2:
+        for g in range(1, n):
+            need[g] = 2 if merged and conn == 3 and g >= 2 else 1
+    if merged and n >= 2:
+        need[n - 1] = max(need[n - 1], 1)
+    # lowest start of a self-contained interval [a, pos] the class forbids
+    # (0: none); the fused source and sink keep merged intervals in [3, n-1],
+    # and the whole [1, n] is the boundary graph itself
+    if merged:
+        scan_lo = [3 if 3 <= pos < n else 0 for pos in range(n + 1)]
+    else:
+        scan_lo = [1 if pos < n else 2 for pos in range(n + 1)]
 
     def rec(k: int, top: int, low: int, cum: int, fixed: int):
         budget.spend()
@@ -259,6 +325,8 @@ def enumerate_tuples(
         hi = values[0] if merged and k == 1 else n
         for v in range(lo, hi + 1):
             values[k] = v
+            if not count[v]:
+                first[v] = pos
             count[v] += 1
             landed[v] += mu
             child_top = v if v > top else top
@@ -270,7 +338,9 @@ def enumerate_tuples(
                 dead = pos < n and child_top <= pos
             elif conn == 3:
                 dead = (merged and 2 <= pos < n and pos - child_low < 2) or (
-                    v == pos and prefix_issue(values, pos, klass, 3) is not None
+                    v == pos
+                    and scan_lo[pos] > 0
+                    and closed_interval(count, first, pos, scan_lo[pos]) is not None
                 )
             else:
                 dead = False
@@ -283,7 +353,8 @@ def enumerate_tuples(
             ):
                 budget.simple_cuts += 1
             elif best is not None and (incumbent := best()) is not None and (
-                _prefix_bound(values, landed, pos, child_cum, fixed) < incumbent
+                _prefix_bound(values, landed, count, need, pos, child_low, child_cum, fixed)
+                < incumbent
             ):
                 budget.bound_cuts += 1
             else:

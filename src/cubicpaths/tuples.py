@@ -16,7 +16,8 @@ values[0] >= values[1].
 
 Connectivity 2 and 3 are rules on prefixes: a tuple is valid when no
 rule is broken at any prefix 1..k (``prefix_issue``), and the search cuts
-prefixes with the same function.  Simplicity is a prefix rule as well: a
+prefixes by the same rules, with the same interval scan
+(``closed_interval``).  Simplicity is a prefix rule as well: a
 graph has a parallel edge iff some prefix puts an arc right beside a path
 edge (``parallel_prefix``), so it is decided without decoding.
 """
@@ -148,22 +149,38 @@ def prefix_issue(
     # graph); [a, k] holds arc k, so it closes only if arc k lands at k.
     if not lo <= k <= hi or values[k - 1] != k:
         return None
-    by_value: list[list[int]] = [[] for _ in range(k + 1)]
-    for j in range(1, k + 1):
+    count = [0] * (k + 1)
+    first = [0] * (k + 1)
+    for j in range(k, 0, -1):  # descending, so first[v] ends at the smallest label
         v = values[j - 1]
-        if lo <= v <= k:
-            by_value[v].append(j)
-    cnt = 0
-    mn = k
+        if v <= k:
+            count[v] += 1
+            first[v] = j
+    a = closed_interval(count, first, k, 2 if (lo, k) == (1, n) else lo)
+    if a is None:
+        return None
+    return f"label interval [{a}, {k}] is self-contained: only two edges cross its boundary"
+
+
+def closed_interval(count: Sequence[int], first: Sequence[int], k: int, lo: int) -> int | None:
+    """The largest a in [lo, k] whose label interval [a, k] is self-contained.
+
+    ``count[v]`` is the number of arcs among 1..k with value v and
+    ``first[v]`` the smallest label among them (read only where count[v] >
+    0), for every v in [lo, k].  [a, k] is self-contained when the arcs
+    landing in it are exactly the k - a + 1 arcs labelled in it: their
+    number is k - a + 1 and the smallest of their labels is a.  The search
+    keeps both lists as prefix state; ``prefix_issue`` builds them.
+    """
+    landed = 0
+    smallest = k
     for a in range(k, lo - 1, -1):
-        for j in by_value[a]:
-            cnt += 1
-            mn = min(mn, j)
-        if cnt == k - a + 1 and mn == a and (a, k) != (1, n):
-            return (
-                f"label interval [{a}, {k}] is self-contained: "
-                "only two edges cross its boundary"
-            )
+        if count[a]:
+            landed += count[a]
+            if first[a] < smallest:
+                smallest = first[a]
+        if landed == k - a + 1 and smallest == a:
+            return a
     return None
 
 

@@ -207,8 +207,8 @@ def test_search_fibonacci(capsys):
     assert [outputs[key] for key in cuts] == [getattr(r, key) for key in cuts]
     assert r.dead_prefix_cuts > 0 and r.bound_cuts > 0 and r.simple_cuts == 0
     # each raise of the maximum as [nodes so far, new maximum], ending at 22
-    assert doc["provenance"]["incumbents"] == [[14, 19], [18, 20], [35, 22]]
-    assert r.incumbent_trail == ((14, 19), (18, 20), (35, 22))
+    assert doc["provenance"]["incumbents"] == [[14, 19], [18, 20], [33, 22]]
+    assert r.incumbent_trail == ((14, 19), (18, 20), (33, 22))
 
 
 def test_search_check_reports_the_searched_spec(capsys):

@@ -19,7 +19,13 @@ from cubicpaths import (
     tuple_mu,
     validity_issues,
 )
-from cubicpaths.tuples import canonicalize, is_canonical, is_simple_tuple, parallel_prefix
+from cubicpaths.tuples import (
+    canonicalize,
+    closed_interval,
+    is_canonical,
+    is_simple_tuple,
+    parallel_prefix,
+)
 
 from conftest import boundary_tuples, merged_tuples
 
@@ -123,6 +129,27 @@ def test_simple_tuple_rule_matches_decoded_graph(klass):
             t = ArcTuple(vals, klass)
             if is_valid(t):
                 assert is_simple_tuple(t) == is_simple(decode(t)), t
+
+
+def test_closed_interval_matches_the_set_definition():
+    # [a, k] is self-contained when the labels of the arcs landing in it
+    # are exactly a..k; every tuple up to length 6, every k and lo
+    for length in range(1, 7):
+        for vals in itertools.product(*(range(i, length + 1) for i in range(1, length + 1))):
+            for k in range(1, length + 1):
+                count = [0] * (k + 1)
+                first = [0] * (k + 1)
+                for j in range(k, 0, -1):
+                    if vals[j - 1] <= k:
+                        count[vals[j - 1]] += 1
+                        first[vals[j - 1]] = j
+                closed = [
+                    a for a in range(1, k + 1)
+                    if {j for j in range(1, k + 1) if a <= vals[j - 1] <= k} == set(range(a, k + 1))
+                ]
+                for lo in range(1, k + 1):
+                    want = max((a for a in closed if a >= lo), default=None)
+                    assert closed_interval(count, first, k, lo) == want, (vals, k, lo)
 
 
 @pytest.mark.parametrize(
