@@ -63,6 +63,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -248,8 +249,8 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
       A start above that tail now holds nxt, whose partner is outside;
       groups j - 1 and j merge into one, and its bit is that of the starts
       at or below the tail, old bit j.
-    * ``rec(1, 1)`` starts from ``2``: vertex 1 is a tail, and the start 1
-      holds no closed vertex.
+    * ``rec(1, 1, 2, 1)`` starts from ``2``: vertex 1 is a tail, and the
+      start 1 holds no closed vertex.
 
     **Intervals.**  [s, nxt], s < nxt, is self-contained, and infeasible,
     when every vertex in it partners inside it.  Only a child closing a real
@@ -265,12 +266,12 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
     self-contained interval ending at pos.  The tail at pos is the top tail
     and comes with bit 1 set, so at the final vertex this test skips it.
 
-    **Dominance.**  ``rec(pos, x, mask)`` with pos >= 2 first looks up its
-    structure key ``(pos, len(opens), mask)``.  The state's vector is x and
-    the real tails' counts in position order.  It is cut when a stored
-    vector of the same key is componentwise at least as large; otherwise
-    it is stored and the stored vectors it dominates are dropped.  This is
-    sound:
+    **Dominance.**  ``rec(pos, x, mask, tails)`` with pos >= 2 first looks up
+    its structure key ``(pos, len(opens), mask)``, one int with pos and
+    len(opens) in 8 bits each (so k < 256).  The state's vector is x and the
+    real tails' counts in position order.  It is cut when a stored vector of
+    the same key is componentwise at least as large; otherwise it is stored
+    and the stored vectors it dominates are dropped.  This is sound:
 
     1. Same key, same feasible completions.  A completion places
        pos + 1..k, each as outgoing, from the dummy or from the r-th real
@@ -294,13 +295,22 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
        dominance cut in it is covered by an earlier state in turn.
     4. A budget stop ends the whole search, and the result is not proven.
 
-    A vector is one int: the tail counts in ``W``-bit fields above x.  Every
-    value is at most ``2**(k - 2)`` (x at most doubles per vertex), so the top
-    bit of each field stays clear.  With ``g`` the top bits of the fields in
-    use, ``a <= b`` componentwise iff ``((b | g) - a) & g == g``: no field
+    A vector is one int: x in the top ``W``-bit field above the tail counts,
+    which ``rec`` carries packed as ``tails``.  Every value is at most
+    ``2**(k - 2)`` (x at most doubles per vertex), so the top bit of each
+    field stays clear.  With ``g`` the top bits of the fields in use,
+    ``a <= b`` componentwise iff ``((b | g) - a) & g == g``: no field
     borrows from the next, and a field keeps its top bit iff it did not
-    underflow.
+    underflow.  Fields never carry either, so ``a <= b`` componentwise
+    implies ``a <= b`` as ints.  Each key's list is kept ascending.  With
+    ``i = bisect_left(kept, vec)``, a dominator of ``vec`` is no smaller
+    than ``vec`` and lies in ``kept[i:]``; when there is none, a vector
+    ``vec`` dominates is smaller and lies in ``kept[:i]``.  So the scan
+    reads only ``kept[i:]`` and the purge only ``kept[:i]``, and ``vec``
+    goes in after what the purge keeps, which keeps the list ascending.
     """
+    if k > 255:
+        raise ValueError(f"the structure key holds pos and len(opens) in 8 bits: k={k} > 255")
     INF = k + 2
     partner = [0] * (k + 1)
     partner[1] = INF  # vertex 1 is forced outgoing: its slots are path+path+out
@@ -319,33 +329,31 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
     guards = [0]  # guards[n]: the top bits of n fields
     for i in range(k):
         guards.append(guards[-1] | 1 << (i * W + W - 1))
-    # structure key -> the packed vectors stored under it, none dominating another
-    stored: dict[tuple[int, int, int], list[int]] = {}
+    # structure key -> the packed vectors stored under it, ascending, none
+    # dominating another
+    stored: dict[int, list[int]] = {}
 
-    def rec(pos: int, x: int, mask: int) -> None:
+    def rec(pos: int, x: int, mask: int, tails: int) -> None:
         nonlocal best_f, leaf_f, leaf_arcs, nodes, dominance_cuts, ladder_cuts, relaxation_cuts
         top = len(opens)
         if pos >= 2:
             # dominance: cut this state if a finished one of its structure
             # is componentwise at least as good
-            vec = x
-            shift = W
-            for i in range(1, top):
-                vec |= opens[i][1] << shift
-                shift += W
-            key = (pos, top, mask)
+            vec = tails | x << W * (top - 1)
+            key = mask << 16 | top << 8 | pos
             kept = stored.get(key)
             if kept is None:
                 stored[key] = [vec]
             else:
                 g = guards[top]
-                for old in kept:
+                # a dominator is numerically no smaller, a dominated one smaller
+                i = bisect_left(kept, vec)
+                for old in kept[i:]:
                     if ((old | g) - vec) & g == g:
                         dominance_cuts += 1
                         return
                 gv = vec | g
-                kept[:] = [old for old in kept if (gv - old) & g != g]
-                kept.append(vec)
+                kept[:i] = [old for old in kept[:i] if (gv - old) & g != g] + [vec]
         nxt = pos + 1
         if nxt == k:
             # final vertex: forced incoming; evaluate every usable source
@@ -391,13 +399,14 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
             partner[nxt] = p
             partner[p] = nxt
             if p == 0:
-                rec(nxt, nx, 0)  # nxt's partner 0 lies below every start
+                rec(nxt, nx, 0, tails)  # nxt's partner 0 lies below every start
             elif idx < top - 1 or not mask & 2:  # else it closes an interval
                 # closing the j-th tail from the top clears the groups above
                 # it and merges the two groups around it into the lower one
                 j = top - idx
+                lo = (1 << W * (idx - 1)) - 1  # the fields below the tail's
                 del opens[idx]
-                rec(nxt, nx, (mask >> j) << (j - 1))
+                rec(nxt, nx, (mask >> j) << (j - 1), tails & lo | tails >> W & ~lo)
                 opens.insert(idx, (p, v))
             partner[p] = INF
             idx -= 1
@@ -411,7 +420,7 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
             opens.append((nxt, x))
             # a new tail at nxt leaves the top group empty; the start nxt
             # holds no closed vertex, so the group holding it is set
-            rec(nxt, x, ((mask >> 1) << 2) | 2)
+            rec(nxt, x, ((mask >> 1) << 2) | 2, tails | x << W * (top - 1))
             opens.pop()
         elif fb is not None:
             ladder_cuts += 1
@@ -419,7 +428,7 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
             relaxation_cuts += 1
 
     try:
-        rec(1, 1, 2)
+        rec(1, 1, 2, 1)
         completed = True
     except _BudgetSpent:
         completed = False
@@ -481,8 +490,8 @@ def solve_block(k: int, budget: int | None = None) -> BlockSolution:
     smaller blocks are solved once per budget, whatever the call order.
     The memo stays because callers walk the ladder: solving k=2..22 in
     ascending order in one process takes 57,628 nodes with it and 204,948
-    without it, since each call would re-solve every rung below k (0.18 s
-    against 0.62 s, Python 3.11, 2 CPUs).
+    without it, since each call would re-solve every rung below k (0.14 s
+    against 0.45 s, medians of 9 runs, Python 3.11, 2 CPUs).
     A budget too small for some rung raises ``BudgetTooSmallError`` naming k.
     """
     try:
@@ -542,7 +551,7 @@ def load_table(path) -> dict[int, dict]:
     passes ``check_assignment`` and reproduces the integer f, and g2 is f's.  A bad row
     raises ``ValueError`` naming k, a file that is not a JSON object keyed
     by k one naming the file.  The 39 rows k=2..40 audit in about 0.1 s
-    (Python 3.11, 2 CPUs); solving them takes about 31 s.
+    (Python 3.11, 2 CPUs); solving them takes about 15 s.
     """
     with open(path) as fh:
         try:
@@ -593,7 +602,7 @@ def save_table(path, rows: Mapping[int, dict]) -> None:
 
     Keys are ``str(k)`` in order of k, indented by one; the parent directory
     is created if missing.  From an empty table, solving and saving row by
-    row takes about 4 s to k=32 and 31 s to k=40 (Python 3.11, 2 CPUs).
+    row takes about 2 s to k=32 and 15 s to k=40 (Python 3.11, 2 CPUs).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -604,6 +613,8 @@ def brute_block(k: int) -> BlockSolution:
     """Independent oracle: plain exhaustive enumeration, k <= 14 only."""
     if not 2 <= k <= BRUTE_LIMIT:
         raise ValueError(f"brute_block handles 2 <= k <= {BRUTE_LIMIT}")
+    if k > 255:
+        raise ValueError(f"the structure key holds pos and len(opens) in 8 bits: k={k} > 255")
     INF = k + 2
     partner = [0] * (k + 1)
     partner[1] = INF

@@ -215,7 +215,7 @@ def test_criterion_10_block_fast_subset():
 
 @pytest.mark.skipif(
     not os.environ.get("CUBICPATHS_EXTENDED"),
-    reason="k=35..40 from scratch takes about 31 s, and this model's f(40) = 28727 "
+    reason="k=35..40 from scratch takes about 15 s, and this model's f(40) = 28727 "
     "is not the paper's 28726; set CUBICPATHS_EXTENDED=1 to run",
 )
 def test_criterion_10_block_table_extended():

@@ -78,6 +78,9 @@ def test_brute_guard():
         brute_block(BRUTE_LIMIT + 1)
     with pytest.raises(ValueError):
         solve_block(1)
+    # the structure key packs pos and the tail count into 8 bits each
+    with pytest.raises(ValueError, match=r"k=256 > 255$"):
+        solve_rung(256, {})
 
 
 def test_returned_assignments_check_out():
@@ -307,22 +310,22 @@ def _structure_mask(partner: list[int], pos: int, k: int) -> tuple[int, int]:
     return tails, mask
 
 
-def _visited_states(k: int, ladder: dict[int, int]) -> list[tuple]:
-    """(pos, real open tails, mask, partner) at every ``rec`` call of one solve.
+def _rec_states(k: int, ladder: dict[int, int], snapshot) -> list:
+    """``snapshot(event, locals)`` at every call and return of ``rec`` in one solve.
 
-    A profile hook reads the arguments and the closure of the search's own
-    recursive step, so the masks checked are the ones the search keyed on.
+    A profile hook reads the arguments, locals and closure of the search's
+    own recursive step, so what is checked is what the search keyed on and
+    kept.  Snapshots that are None are dropped.
     """
     states = []
     path = blocks.__file__
 
     def watch(frame, event, arg):
         code = frame.f_code
-        if event == "call" and code.co_name == "rec" and code.co_filename == path:
-            seen = frame.f_locals
-            states.append(
-                (seen["pos"], len(seen["opens"]) - 1, seen["mask"], list(seen["partner"]))
-            )
+        if event in ("call", "return") and code.co_name == "rec" and code.co_filename == path:
+            state = snapshot(event, frame.f_locals)
+            if state is not None:
+                states.append(state)
 
     sys.setprofile(watch)
     try:
@@ -332,14 +335,28 @@ def _visited_states(k: int, ladder: dict[int, int]) -> list[tuple]:
     return states
 
 
-def test_incremental_structure_key_matches_a_plain_scan(table):
-    rng = random.Random(14)
-    checked = 0
+def _visited_states(k: int, ladder: dict[int, int]) -> list[tuple]:
+    """(pos, real open tails, mask, partner) at every ``rec`` call of one solve."""
+
+    def at_call(event, seen):
+        if event == "call":
+            return seen["pos"], len(seen["opens"]) - 1, seen["mask"], list(seen["partner"])
+
+    return _rec_states(k, ladder, at_call)
+
+
+def _ladders(table, rng):
+    """For each k = 3..12: no ladder, the full one and three random parts of it."""
     for k in range(3, 13):
         proven = {r: table[r]["f"] for r in range(2, k)}
-        ladders = [{}, proven] + [
+        yield k, [{}, proven] + [
             {r: f for r, f in proven.items() if rng.random() < 0.5} for _ in range(3)
         ]
+
+
+def test_incremental_structure_key_matches_a_plain_scan(table):
+    checked = 0
+    for k, ladders in _ladders(table, random.Random(14)):
         for ladder in ladders:
             states = _visited_states(k, ladder)
             assert states and states[0][0] == 1
@@ -350,6 +367,60 @@ def test_incremental_structure_key_matches_a_plain_scan(table):
                 assert not scanned[1] & 1, (k, pos, partner)
             checked += len(states)
     assert checked > 10_000
+
+
+def _carried(event, seen):
+    """(event, what ``rec`` carries, what a plain scan gives).
+
+    At a call: ``tails`` against the counts of ``opens[1:]`` packed afresh.
+    At the return from a state that looked up its key: the int key decoded
+    against (pos, len(opens), mask); by its return ``rec`` has put ``opens``
+    back as it found it.
+    """
+    if event == "call":
+        w = seen["W"]
+        plain = sum(v << (w * i) for i, (_, v) in enumerate(seen["opens"][1:]))
+        return event, seen["tails"], plain
+    if "key" in seen:
+        key = seen["key"]
+        plain = seen["pos"], len(seen["opens"]), seen["mask"]
+        return event, (key & 255, key >> 8 & 255, key >> 16), plain
+
+
+def test_carried_tail_vector_and_int_key_match_a_plain_scan(table):
+    checked = {"call": 0, "return": 0}
+    for k, ladders in _ladders(table, random.Random(14)):
+        for ladder in ladders:
+            for event, carried, plain in _rec_states(k, ladder, _carried):
+                assert carried == plain, (k, event, plain)
+                checked[event] += 1
+    assert checked["call"] > 10_000 and checked["return"] > 10_000, checked
+
+
+def _kept(event, seen):
+    """(stored vectors, fields, field width) of the key a returning ``rec`` looked up.
+
+    Only that call changes the list: the states of its subtree lie further
+    on and have other keys, so every state of every list is seen.
+    """
+    if event == "return" and "key" in seen:
+        return list(seen["stored"][seen["key"]]), seen["key"] >> 8 & 255, seen["W"]
+
+
+def test_dominance_store_is_a_sorted_antichain(table):
+    pairs = 0
+    for k in (6, 9, 12):
+        for ladder in ({}, {r: table[r]["f"] for r in range(2, k)}):
+            for kept, n, w in _rec_states(k, ladder, _kept):
+                assert all(a < b for a, b in zip(kept, kept[1:])), (k, kept)
+                assert all(v >> (w * n) == 0 for v in kept), (k, kept)
+                fields = [[v >> (w * i) & ((1 << w) - 1) for i in range(n)] for v in kept]
+                for a, fa in enumerate(fields):
+                    for b, fb in enumerate(fields):
+                        dominated = all(p <= q for p, q in zip(fa, fb))
+                        assert a == b or not dominated, (k, fa, fb)
+                pairs += len(kept) * (len(kept) - 1)
+    assert pairs > 10_000
 
 
 def test_cut_counters(table):
@@ -447,10 +518,11 @@ def test_ladder_solves_each_size_once_and_matches_the_table(table):
         solved[int(k)] = (int(f), int(nodes), proven == "True")
     assert solved == {k: (table[k]["f"], table[k]["nodes"], True) for k in range(2, 23)}
     assert sum(nodes for _, nodes, _ in solved.values()) == 57_628
+    # the same search from the stored ladder gives the stored row: every
+    # count, the floor, the runs and the witness
     for k in range(2, 23):
         ladder = {r: table[r]["f"] for r in range(2, k)}
-        sol = solve_rung(k, ladder)
-        assert (sol.f, sol.nodes_explored, sol.proven_optimal) == solved[k]
+        assert table_row(solve_rung(k, ladder)) == _solved(table[k]), k
 
 
 def test_every_stored_row_carries_a_witness_that_checks_out(table):
