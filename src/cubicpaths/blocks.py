@@ -63,6 +63,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -547,7 +548,8 @@ def load_table(path) -> dict[int, dict]:
     Each row is audited from scratch, also under ``python -O``: its key is
     an integer k >= 2, it holds every field of ``table_row`` (and may hold
     ``seconds`` and ``solver``, which name the run that made it) with a bool
-    ``proven`` and an ``assignment`` of [i, j] integer pairs, its witness
+    ``proven``, non-negative integer counters and ``floor``, ``runs`` 1 or
+    2 and an ``assignment`` of [i, j] integer pairs, its witness
     passes ``check_assignment`` and reproduces the integer f, and g2 is f's.  A bad row
     raises ``ValueError`` naming k, a file that is not a JSON object keyed
     by k one naming the file.  The 39 rows k=2..40 audit in about 0.1 s
@@ -578,6 +580,11 @@ def load_table(path) -> dict[int, dict]:
             raise ValueError(f"block table row k={k}: has unknown {', '.join(unknown)}")
         if not isinstance(row["proven"], bool):
             raise ValueError(f"block table row k={k}: proven is not true or false")
+        for name in ("nodes", "dominance_cuts", "ladder_cuts", "relaxation_cuts", "floor"):
+            if type(row[name]) is not int or row[name] < 0:
+                raise ValueError(f"block table row k={k}: {name} is not a non-negative integer")
+        if type(row["runs"]) is not int or row["runs"] not in (1, 2):
+            raise ValueError(f"block table row k={k}: runs is not 1 or 2")
         arcs = row["assignment"]
         pairs = isinstance(arcs, list) and all(
             isinstance(arc, list) and len(arc) == 2 and all(type(v) is int for v in arc)
@@ -601,20 +608,27 @@ def save_table(path, rows: Mapping[int, dict]) -> None:
     """Write ``rows`` keyed by int k as ``load_table`` reads them, byte for byte.
 
     Keys are ``str(k)`` in order of k, indented by one; the parent directory
-    is created if missing.  From an empty table, solving and saving row by
-    row takes about 2 s to k=32 and 15 s to k=40 (Python 3.11, 2 CPUs).
+    is created if missing.  The text goes to a temporary file beside
+    ``path`` that then replaces it, so a write that fails part way leaves
+    the old table whole and no temporary file.  From an empty table,
+    solving and saving row by row takes about 2 s to k=32 and 15 s to k=40
+    (Python 3.11, 2 CPUs).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({str(k): row for k, row in sorted(rows.items())}, indent=1) + "\n")
+    text = json.dumps({str(k): row for k, row in sorted(rows.items())}, indent=1) + "\n"
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def brute_block(k: int) -> BlockSolution:
     """Independent oracle: plain exhaustive enumeration, k <= 14 only."""
     if not 2 <= k <= BRUTE_LIMIT:
         raise ValueError(f"brute_block handles 2 <= k <= {BRUTE_LIMIT}")
-    if k > 255:
-        raise ValueError(f"the structure key holds pos and len(opens) in 8 bits: k={k} > 255")
     INF = k + 2
     partner = [0] * (k + 1)
     partner[1] = INF

@@ -7,9 +7,10 @@ that swaps the two source arcs (the same graph) is never built.  Three
 cuts drop a child prefix before it is visited:
 
 * dead prefix (exact): the fixed entries already break one of the
-  connectivity rules of ``tuples.prefix_issue``, so no completion is valid;
+  connectivity rules of ``tuples.validity_issues``, so no completion is
+  valid;
 * parallel edge (exact, simple searches only): the fixed entries already
-  place an arc beside a path edge by the rule of ``tuples.parallel_prefix``,
+  place an arc beside a path edge by a rule of ``tuples.is_simple_tuple``,
   so no completion decodes to a simple graph;
 * bound: ``tuple_mu``'s recurrence fixes arc_mu of arcs 1..k+1 from a
   prefix of length k, and every later arc i counts at most as if the open
@@ -332,7 +333,7 @@ def enumerate_tuples(
             child_top = v if v > top else top
             child_low = low + count[pos]
             child_cum = cum + landed[pos]
-            # the rules of tuples.prefix_issue; [a, pos] can only be a
+            # the rules of tuples.validity_issues; [a, pos] can only be a
             # self-contained interval when arc pos lands at pos
             if conn == 2:
                 dead = pos < n and child_top <= pos
@@ -346,7 +347,7 @@ def enumerate_tuples(
                 dead = False
             if dead:
                 budget.dead_prefix_cuts += 1
-            elif simple and (  # the rules of tuples.parallel_prefix
+            elif simple and (  # the rules of tuples.is_simple_tuple
                 (v == 2) if merged and pos == 1
                 else (count[n] == 2) if merged and pos == n
                 else (v == pos and count[pos] == 1)

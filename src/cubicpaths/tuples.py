@@ -15,11 +15,11 @@ first two entries interchangeable, so canonical merged tuples keep
 values[0] >= values[1].
 
 Connectivity 2 and 3 are rules on prefixes: a tuple is valid when no
-rule is broken at any prefix 1..k (``prefix_issue``), and the search cuts
-prefixes by the same rules, with the same interval scan
-(``closed_interval``).  Simplicity is a prefix rule as well: a
-graph has a parallel edge iff some prefix puts an arc right beside a path
-edge (``parallel_prefix``), so it is decided without decoding.
+rule is broken at any prefix 1..k (``validity_issues``), and the search
+cuts prefixes by the same rules, with the same interval scan
+(``closed_interval``).  Simplicity is a prefix rule as well: a graph has
+a parallel edge iff some prefix puts an arc right beside a path edge
+(``is_simple_tuple``), so it is decided without decoding.
 """
 from __future__ import annotations
 
@@ -112,56 +112,6 @@ def canonicalize(t: ArcTuple) -> ArcTuple:
     return t
 
 
-def prefix_issue(
-    values: Sequence[int], k: int, klass: TupleClass, connectivity: int
-) -> str | None:
-    """The connectivity rule that entries 1..k already break, or None.
-
-    Only values[:k] is read.  Entry j is at least j, so the arcs that land
-    at labels <= k are all among the first k, and each rule is decided
-    once entry k is fixed: the bridge prefix at k, the merged gap count
-    after gap k, and every self-contained interval [a, k].
-    """
-    n = len(values)
-    if connectivity == 1:
-        return None
-    if connectivity == 2:
-        if k < n and max(values[:k]) <= k:
-            return f"labels 1..{k} all land by {k}: the path edge after them is a bridge"
-        return None
-    # connectivity == 3; the gap and interval rules subsume the bridge rule.
-    if klass is TupleClass.MERGED:
-        # The fused source absorbs the boundary after gap 1, so cut
-        # boundaries sit after gaps 2..n-1; each needs >= 2 crossing arcs
-        # on top of its path edge.
-        if 2 <= k < n:
-            crossing = k - sum(1 for v in values[:k] if v <= k)
-            if crossing < 2:
-                return (
-                    f"only {crossing} arcs cross the boundary after gap {k}: "
-                    "two deletions disconnect the prefix"
-                )
-        lo, hi = 3, n - 1  # interior intervals avoid the fused source and sink
-    else:
-        lo, hi = 1, n
-    # Arcs labelled in an interval [a, k] equal to {j : v_j in [a, k]} stay
-    # inside it, so two path edges attach it to the rest ([1, n] is the whole
-    # graph); [a, k] holds arc k, so it closes only if arc k lands at k.
-    if not lo <= k <= hi or values[k - 1] != k:
-        return None
-    count = [0] * (k + 1)
-    first = [0] * (k + 1)
-    for j in range(k, 0, -1):  # descending, so first[v] ends at the smallest label
-        v = values[j - 1]
-        if v <= k:
-            count[v] += 1
-            first[v] = j
-    a = closed_interval(count, first, k, 2 if (lo, k) == (1, n) else lo)
-    if a is None:
-        return None
-    return f"label interval [{a}, {k}] is self-contained: only two edges cross its boundary"
-
-
 def closed_interval(count: Sequence[int], first: Sequence[int], k: int, lo: int) -> int | None:
     """The largest a in [lo, k] whose label interval [a, k] is self-contained.
 
@@ -170,7 +120,7 @@ def closed_interval(count: Sequence[int], first: Sequence[int], k: int, lo: int)
     0), for every v in [lo, k].  [a, k] is self-contained when the arcs
     landing in it are exactly the k - a + 1 arcs labelled in it: their
     number is k - a + 1 and the smallest of their labels is a.  The search
-    keeps both lists as prefix state; ``prefix_issue`` builds them.
+    keeps both lists as prefix state, and so does ``validity_issues``.
     """
     landed = 0
     smallest = k
@@ -191,16 +141,61 @@ def validity_issues(t: ArcTuple, connectivity: int = 1) -> list[str]:
     which are connected via the Hamiltonian path); 2 excludes bridges; 3
     encodes 3-edge connectivity.  A tuple in the class is valid when no
     prefix 1..k breaks a rule, the test the search cuts prefixes with.
+
+    Entry j is at least j, so the arcs that land at labels <= k are all
+    among the first k, and each rule is decided once entry k is fixed:
+
+    * bridge (connectivity 2): k < n and max(v_1..v_k) <= k, so the path
+      edge after gap k is a bridge;
+    * merged gap (connectivity 3): the fused source absorbs the boundary
+      after gap 1, so cut boundaries sit after gaps 2..n-1, and each needs
+      k - #{j <= k : v_j <= k} >= 2 crossing arcs on top of its path edge;
+    * interval (connectivity 3): the arcs labelled in [a, k] are exactly
+      those landing in it, so two path edges attach it to the rest.  It
+      holds arc k, so it closes only if v_k == k (``closed_interval``).
+      Merged intervals lie in [3, n-1], clear of the fused source and
+      sink.  Boundary ones end before n: [1, n] is the whole graph, and
+      [a, n] with a >= 2 is self-contained only if [1, a-1] is, which
+      closes at k = a-1.  The interval at a = 1 is the bridge rule.
+
+    One pass keeps the value histogram, the smallest label per value, the
+    running maximum and #{j <= k : v_j <= k}, which grows by the count of
+    the value k once v_k is placed.
     """
     if connectivity not in (1, 2, 3):
         raise ValueError("connectivity must be 1, 2 or 3")
     out = class_issues(t)
     if out or connectivity == 1:
         return out
-    for k in range(1, len(t) + 1):
-        issue = prefix_issue(t.values, k, t.klass, connectivity)
-        if issue is not None:
-            return [issue]
+    vals = t.values
+    n = len(vals)
+    merged = t.klass is TupleClass.MERGED
+    lo = 3 if merged else 1  # the lowest interval start
+    count = [0] * (n + 1)
+    first = [0] * (n + 1)  # smallest label per value, read where count > 0
+    top = low = 0
+    for k, v in enumerate(vals, 1):
+        if not count[v]:
+            first[v] = k
+        count[v] += 1
+        top = max(top, v)
+        low += count[k]
+        if connectivity == 2:
+            if k < n and top <= k:
+                return [f"labels 1..{k} all land by {k}: the path edge after them is a bridge"]
+            continue
+        if merged and 2 <= k < n and k - low < 2:
+            return [
+                f"only {k - low} arcs cross the boundary after gap {k}: "
+                "two deletions disconnect the prefix"
+            ]
+        if v == k and lo <= k < n:
+            a = closed_interval(count, first, k, lo)
+            if a is not None:
+                return [
+                    f"label interval [{a}, {k}] is self-contained: "
+                    "only two edges cross its boundary"
+                ]
     return []
 
 
@@ -208,33 +203,31 @@ def is_valid(t: ArcTuple, connectivity: int = 1) -> bool:
     return not validity_issues(t, connectivity)
 
 
-def parallel_prefix(values: Sequence[int], k: int, klass: TupleClass) -> bool:
-    """True when entries 1..k of an n-tuple force a parallel edge in its graph.
-
-    Only values[:k] is read.  Every unfused vertex carries one arc endpoint,
-    so a parallel edge is an arc that lands right after its own tail, beside
-    a path edge (the merged (2, 2), whose two arcs both join source and
-    sink, also breaks the k = 1 rule).  Arc k does so when v_k == k and no
-    earlier entry equals k: its head is then first in gap k, since later
-    entries exceed k.  In the merged class the fused source and sink change
-    the two ends: arc 1 runs beside the source's path edge when v_1 == 2,
-    and arc n beside the path edge into the sink when the value n occurs
-    exactly twice.  A tuple in the class decodes to a simple graph iff no
-    prefix 1..k is ``parallel_prefix``.
-    """
-    v = values[k - 1]
-    if klass is TupleClass.MERGED:
-        n = len(values)
-        if k == 1:
-            return v == 2
-        if k == n:
-            return values[:k].count(n) == 2
-    return v == k and k not in values[: k - 1]
-
-
 def is_simple_tuple(t: ArcTuple) -> bool:
-    """Whether a tuple in its class decodes to a graph without parallel edges."""
-    return not any(parallel_prefix(t.values, k, t.klass) for k in range(1, len(t) + 1))
+    """Whether a tuple in its class decodes to a graph without parallel edges.
+
+    Every unfused vertex carries one arc endpoint, so a parallel edge is an
+    arc that lands right after its own tail, beside a path edge.  Arc k
+    does so when v_k == k and no earlier entry equals k: its head is then
+    first in gap k, since later entries exceed k.  In the merged class the
+    fused source and sink change the two ends: arc 1 runs beside the
+    source's path edge when v_1 == 2 (the merged (2, 2), whose two arcs
+    both join source and sink, is one case), and arc n beside the path
+    edge into the sink when the value n occurs exactly twice.  The rule of
+    arc k never fires at the merged ends, where v_1 >= 2 and the value n
+    occurs more than once.  Each rule is decided once its entry is fixed,
+    so the search cuts prefixes by them.
+    """
+    vals = t.values
+    n = len(vals)
+    if t.klass is TupleClass.MERGED and (vals[:1] == (2,) or vals.count(n) == 2):
+        return False
+    seen = set()
+    for k, v in enumerate(vals, 1):
+        if v == k and k not in seen:
+            return False
+        seen.add(v)
+    return True
 
 
 def _boundary_layout(vals: tuple[int, ...]) -> tuple[list[int], list[int]]:

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -568,6 +569,28 @@ def _spoil_row(k, spoil):
         (lambda rows: {"1": rows["2"], **rows}, r"row k=1: blocks need k >= 2"),
         (_spoil_row(6, lambda row: {**row, "f": 7.0}), r"row k=6: .*does not reproduce f=7.0"),
         (_spoil_row(6, lambda row: {**row, "note": "edited"}), r"row k=6: has unknown note"),
+        (
+            _spoil_row(6, lambda row: {**row, "nodes": "many"}),
+            r"row k=6: nodes is not a non-negative integer",
+        ),
+        (
+            _spoil_row(7, lambda row: {**row, "dominance_cuts": 1.5}),
+            r"row k=7: dominance_cuts is not a non-negative integer",
+        ),
+        (
+            _spoil_row(7, lambda row: {**row, "ladder_cuts": -1}),
+            r"row k=7: ladder_cuts is not a non-negative integer",
+        ),
+        (
+            _spoil_row(7, lambda row: {**row, "relaxation_cuts": True}),
+            r"row k=7: relaxation_cuts is not a non-negative integer",
+        ),
+        (
+            _spoil_row(8, lambda row: {**row, "floor": None}),
+            r"row k=8: floor is not a non-negative integer",
+        ),
+        (_spoil_row(9, lambda row: {**row, "runs": -3}), r"row k=9: runs is not 1 or 2"),
+        (_spoil_row(9, lambda row: {**row, "runs": True}), r"row k=9: runs is not 1 or 2"),
     ),
     ids=(
         "edited-f",
@@ -582,6 +605,13 @@ def _spoil_row(k, spoil):
         "k-below-2",
         "f-not-an-integer",
         "unknown-field",
+        "nodes-not-an-integer",
+        "dominance-cuts-not-an-integer",
+        "ladder-cuts-negative",
+        "relaxation-cuts-a-bool",
+        "floor-null",
+        "runs-negative",
+        "runs-a-bool",
     ),
 )
 def test_load_table_rejects_a_bad_row(table, tmp_path, spoil, message):
@@ -602,6 +632,21 @@ def test_save_table_writes_the_stored_table_byte_for_byte(table, tmp_path):
     path = tmp_path / "new" / "table.json"  # a missing directory is created
     save_table(path, table)
     assert path.read_bytes() == TABLE.read_bytes()
+
+
+def test_save_table_keeps_the_old_table_when_a_write_fails(table, tmp_path, monkeypatch):
+    path, before = _seed(tmp_path, {k: table[k] for k in range(2, 11)})
+    write_text = Path.write_text
+
+    def disk_full(self, text, *args, **kwargs):  # writes half, then fails
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", disk_full)
+    with pytest.raises(OSError, match="No space left"):
+        save_table(path, table)
+    assert path.read_bytes() == before
+    assert list(path.parent.iterdir()) == [path]
 
 
 def test_finish_rejects_wrong_count_under_optimize():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,6 @@ from cubicpaths.tuples import (
     closed_interval,
     is_canonical,
     is_simple_tuple,
-    parallel_prefix,
 )
 
 from conftest import boundary_tuples, merged_tuples
@@ -84,10 +84,63 @@ def test_tuple_mu_examples():
 
 def test_validity_examples():
     assert is_valid(ArcTuple((2, 4, 5, 4, 5)), 3)
-    issues = validity_issues(ArcTuple((2, 2, 4, 4)), 3)
-    assert issues and "[1, 2]" in issues[0]
     for n in range(2, 8):
         assert is_valid(ArcTuple((n,) * n), 3)
+
+
+BRIDGE = "labels 1..{k} all land by {k}: the path edge after them is a bridge"
+GAP = "only {crossing} arcs cross the boundary after gap {k}: two deletions disconnect the prefix"
+INTERVAL = "label interval [{a}, {k}] is self-contained: only two edges cross its boundary"
+
+
+@pytest.mark.parametrize(
+    "values, klass, connectivity, message",
+    [
+        ((2, 2, 4, 4), TupleClass.BOUNDARY, 2, BRIDGE.format(k=2)),
+        ((3, 3, 3, 5, 5), TupleClass.MERGED, 2, BRIDGE.format(k=3)),
+        ((3, 3, 4, 5, 5), TupleClass.MERGED, 3, GAP.format(crossing=1, k=3)),
+        ((6, 6, 4, 4, 6, 6), TupleClass.MERGED, 3, INTERVAL.format(a=3, k=4)),
+        ((2, 2, 4, 4), TupleClass.BOUNDARY, 3, INTERVAL.format(a=1, k=2)),
+        # [2, 3] is self-contained at k = n, but that forces [1, 1] first
+        ((1, 3, 3), TupleClass.BOUNDARY, 3, INTERVAL.format(a=1, k=1)),
+        # the gap rule breaks at 2 before [3, 3] closes at 3 ...
+        ((5, 2, 3, 4, 5), TupleClass.MERGED, 3, GAP.format(crossing=1, k=2)),
+        # ... which is what is left once v_2 is raised
+        ((5, 5, 3, 4, 5), TupleClass.MERGED, 3, INTERVAL.format(a=3, k=3)),
+    ],
+    ids=[
+        "bridge-boundary",
+        "bridge-merged",
+        "gap-merged",
+        "interval-merged",
+        "interval-boundary",
+        "interval-boundary-at-n",
+        "two-rules-first-prefix",
+        "two-rules-second-prefix",
+    ],
+)
+def test_validity_messages_are_pinned(values, klass, connectivity, message):
+    assert validity_issues(ArcTuple(values, klass), connectivity) == [message]
+
+
+def test_boundary_interval_at_n_closes_an_earlier_one():
+    # [a, n] with a >= 2 is self-contained only if [1, a-1] is, so the
+    # interval scan of boundary tuples stops before n and loses nothing
+    seen = 0
+    for length in range(2, 8):
+        for t in boundary_tuples(length):
+            count = [0] * (length + 1)
+            first = [0] * (length + 1)
+            for j in range(length, 0, -1):
+                count[t.values[j - 1]] += 1
+                first[t.values[j - 1]] = j
+            a = closed_interval(count, first, length, 2)
+            if a is not None:
+                seen += 1
+                (issue,) = validity_issues(t, 3)
+                k = int(re.fullmatch(r"label interval \[\d+, (\d+)\] .*", issue).group(1))
+                assert k <= a - 1, (t, a, issue)
+    assert seen
 
 
 def test_validity_rejects_floor_violations():
@@ -165,10 +218,8 @@ def test_closed_interval_matches_the_set_definition():
         ((5, 3, 3, 5, 5), TupleClass.MERGED, None),  # the simple-2ec family, n = 4
     ],
 )
-def test_parallel_prefix_examples(values, klass, first_parallel):
+def test_simple_tuple_examples(values, klass, first_parallel):
     t = ArcTuple(values, klass)
-    found = [k for k in range(1, len(values) + 1) if parallel_prefix(values, k, klass)]
-    assert found[:1] == ([first_parallel] if first_parallel else [])
     assert is_simple_tuple(t) == is_simple(decode(t)) == (first_parallel is None)
 
 
