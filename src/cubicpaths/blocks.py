@@ -86,6 +86,8 @@ class BlockSolution:
     relaxation_cuts: int  # children cut by the relaxation bound
     floor: int  # the aspiration incumbent the first run started from
     runs: int  # 2 when every leaf was below the floor and the search ran again from 0
+    # each leaf that raised the incumbent: (nodes so far, its value); not stored
+    incumbents: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -196,11 +198,13 @@ class _BudgetSpent(Exception):
 
 
 def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0):
-    """Branch-and-bound core.  Returns (f, arcs, nodes, completed, cuts).
+    """Branch-and-bound core.  Returns (f, arcs, nodes, completed, cuts, trail).
 
     ``f`` and ``arcs`` are the best leaf evaluated, (0, None) when none was.
     ``cuts`` is (dominance, ladder, relaxation): states cut by dominance,
     and children cut by each bound, each cut child counted as its node is.
+    ``trail`` lists (nodes so far, value) for each leaf that raised
+    ``best_f``.
 
     **Floor.**  ``best_f``, the value every bound is compared with, starts
     at ``floor``.  A leaf is kept when it beats the best leaf so far, but it
@@ -326,6 +330,7 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
     leaf_f = 0
     leaf_arcs: tuple[Edge, ...] | None = None
     nodes = dominance_cuts = ladder_cuts = relaxation_cuts = 0
+    trail: list[tuple[int, int]] = []
     W = k
     guards = [0]  # guards[n]: the top bits of n fields
     for i in range(k):
@@ -369,7 +374,9 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
                     leaf_f = x + v
                     leaf_arcs = _placement_arcs(k, partner)
                     partner[p] = INF
-                    best_f = max(best_f, leaf_f)
+                    if leaf_f > best_f:
+                        best_f = leaf_f
+                        trail.append((nodes, leaf_f))
             return
 
         fb = suffix_f[pos]
@@ -433,7 +440,8 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
         completed = True
     except _BudgetSpent:
         completed = False
-    return leaf_f, leaf_arcs, nodes, completed, (dominance_cuts, ladder_cuts, relaxation_cuts)
+    cuts = (dominance_cuts, ladder_cuts, relaxation_cuts)
+    return leaf_f, leaf_arcs, nodes, completed, cuts, tuple(trail)
 
 
 class BudgetTooSmallError(ValueError):
@@ -454,20 +462,24 @@ def solve_rung(k: int, ladder: Mapping[int, int], budget: int | None = None) -> 
     below the floor, it runs once more from floor 0 with a fresh dominance
     store.  Nodes, cuts and the budget count both runs.  A budget that stops
     the search before a leaf beats the floor leaves the best leaf at or below
-    it as the unproven result.
+    it as the unproven result.  ``incumbents`` lists each leaf that raised
+    the incumbent as (nodes so far, value), the nodes of both runs counted;
+    a leaf worth exactly the floor raises nothing.
     """
     if k < 2:
         raise ValueError("blocks need k >= 2")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, not {budget}")
     floor = _aspiration_floor(k, ladder)
-    f, arcs, nodes, completed, cuts = _solve(k, budget, ladder, floor)
+    f, arcs, nodes, completed, cuts, trail = _solve(k, budget, ladder, floor)
     runs = 1
     if completed and f < floor:
         # the cuts made against the floor do not hold below it
         rest = None if budget is None else budget - nodes
-        f2, arcs2, nodes2, completed, cuts2 = _solve(k, rest, ladder)
+        f2, arcs2, nodes2, completed, cuts2, trail2 = _solve(k, rest, ladder)
         runs = 2
+        # no leaf raised the floor in the first run
+        trail = tuple((nodes + m, value) for m, value in trail2)
         nodes += nodes2
         cuts = tuple(a + b for a, b in zip(cuts, cuts2))
         if completed or f2 > f:
@@ -478,7 +490,7 @@ def solve_rung(k: int, ladder: Mapping[int, int], budget: int | None = None) -> 
         )
     if completed and f > _relaxation_bound(1, k - 1, 1):
         raise RuntimeError(f"relaxation bound fell below the optimum f({k}) = {f}")
-    return _finish(k, f, arcs, nodes, completed, cuts, floor, runs)
+    return _finish(k, f, arcs, nodes, completed, cuts, floor, runs, trail)
 
 
 def solve_block(k: int, budget: int | None = None) -> BlockSolution:
@@ -516,14 +528,14 @@ def _solve_block(k: int, budget: int | None) -> BlockSolution:
     return solve_rung(k, ladder, budget)
 
 
-def _finish(k, f, arcs, nodes, proven, cuts=(0, 0, 0), floor=0, runs=1) -> BlockSolution:
+def _finish(k, f, arcs, nodes, proven, cuts=(0, 0, 0), floor=0, runs=1, trail=()) -> BlockSolution:
     """Re-check the witness from scratch; raise if it is infeasible or off."""
     issues = check_assignment(k, arcs)
     if issues:
         raise RuntimeError(f"witness for k={k} is infeasible: {'; '.join(issues)}")
     if recompute_counts(k, arcs) != f:
         raise RuntimeError(f"witness for k={k} does not reproduce its count {f}")
-    return BlockSolution(k, f, arcs, proven, nodes, *cuts, floor, runs)
+    return BlockSolution(k, f, arcs, proven, nodes, *cuts, floor, runs, trail)
 
 
 def table_row(sol: BlockSolution) -> dict:

@@ -4,8 +4,9 @@ Verbs: count, hamiltonize, tuple {decode,encode,mu,validate}, search, block,
 bound.  Every command is deterministic given identical flags and inputs,
 apart from the wall seconds that ``search``, ``block`` and ``bound`` report,
 with how they stopped (``complete`` or ``budget``), in their provenance.
-``search`` also lists there each raise of its maximum as [nodes so far, new
-maximum] under ``incumbents``.
+``search`` and ``block`` also list there each raise of the incumbent as
+[nodes so far, new value] under ``incumbents``; ``block`` lists none for a
+row it read from the table.
 Exit status: 0 success, 1 validation or parse error, 2 incomplete result
 under --strict.
 
@@ -186,6 +187,7 @@ def cmd_search(args) -> int:
         "dead_prefix_cuts": report.dead_prefix_cuts,
         "simple_cuts": report.simple_cuts,
         "bound_cuts": report.bound_cuts,
+        "dominance_cuts": report.dominance_cuts,
     }
     lines = [
         f"max: {report.max_total}",
@@ -241,11 +243,14 @@ def cmd_search(args) -> int:
     return OK
 
 
-def _extend_table(path: Path | None, k_max: int, budget: int | None) -> dict[int, dict]:
+def _extend_table(
+    path: Path | None, k_max: int, budget: int | None
+) -> tuple[dict[int, dict], dict[int, tuple[tuple[int, int], ...]]]:
     """The audited rows at ``path``, every size 2..k_max proven or solved.
 
-    With no path the table starts empty and stays in memory: no file is
-    written and no progress line printed.
+    Also returns the incumbent trail of each size solved here.  With no
+    path the table starts empty and stays in memory: no file is written and
+    no progress line printed.
     """
     if k_max < 2:
         raise ValueError(f"blocks need k >= 2, not k={k_max}")
@@ -253,6 +258,7 @@ def _extend_table(path: Path | None, k_max: int, budget: int | None) -> dict[int
         raise ValueError(f"budget must be non-negative, not {budget}")
     rows = blocks.load_table(path) if path and path.exists() else {}
     ladder = {k: row["f"] for k, row in rows.items() if row["proven"]}
+    trails = {}
     for k in range(2, k_max + 1):
         if k in ladder:
             continue
@@ -261,6 +267,7 @@ def _extend_table(path: Path | None, k_max: int, budget: int | None) -> dict[int
         seconds = time.perf_counter() - t0
         if sol.proven_optimal:
             ladder[k] = sol.f
+        trails[k] = sol.incumbents
         row = blocks.table_row(sol)
         rows[k] = {**row, "seconds": round(seconds, 2), "solver": __version__}
         if path:
@@ -271,28 +278,32 @@ def _extend_table(path: Path | None, k_max: int, budget: int | None) -> dict[int
                 file=sys.stderr,
                 flush=True,
             )
-    return rows
+    return rows, trails
 
 
-def _table_rows(args, k_max: int, inputs: dict, provenance: dict) -> dict[int, dict]:
+def _table_rows(args, k_max: int, inputs: dict, provenance: dict):
     """``_extend_table`` on ``--table``; the report names the table as it is left."""
     path = Path(args.table) if args.table else None
-    rows = _extend_table(path, k_max, args.budget)
+    rows, trails = _extend_table(path, k_max, args.budget)
     if path:
         inputs["table"] = args.table
         provenance["table_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
         provenance["relative_to"] = "table"
-    return rows
+    return rows, trails
 
 
 def cmd_block(args) -> int:
     t0 = time.perf_counter()
     inputs = {"k": args.k}
     provenance = {"budget": args.budget}
-    stored = _table_rows(args, args.k, inputs, provenance)[args.k]
+    rows, trails = _table_rows(args, args.k, inputs, provenance)
+    stored = rows[args.k]
     # its time and solver tell how the row was made, not what it is
     row = {key: v for key, v in stored.items() if key not in ("seconds", "solver")}
     provenance["solver"] = stored.get("solver")
+    # each raise of the incumbent: [nodes so far, new value]; none for a
+    # row read from the table
+    provenance["incumbents"] = [list(step) for step in trails.get(args.k, ())]
     provenance["stop"] = "complete" if row["proven"] else "budget"
     provenance["seconds"] = time.perf_counter() - t0
     doc = fileio.make_report("block", inputs, row, provenance)
@@ -320,7 +331,7 @@ def cmd_bound(args) -> int:
     t0 = time.perf_counter()
     inputs = {"range": [lo, hi]}
     provenance = {"budget": args.budget}
-    report = blocks.assemble_bound(lo, hi, _table_rows(args, hi, inputs, provenance))
+    report = blocks.assemble_bound(lo, hi, _table_rows(args, hi, inputs, provenance)[0])
     provenance["stop"] = "complete" if report.rigorous else "budget"
     provenance["seconds"] = time.perf_counter() - t0
     rows = [(r.k, r.f, r.g2) for r in report.rows]

@@ -3,7 +3,7 @@
 The tuple space for length n is finite (entry i ranges over [i, n]) and is
 walked as a tree of prefixes in lexicographic order.  Merged tuples are
 walked in canonical form only: entry 2 ranges over [2, v_1], so the twin
-that swaps the two source arcs (the same graph) is never built.  Three
+that swaps the two source arcs (the same graph) is never built.  Four
 cuts drop a child prefix before it is visited:
 
 * dead prefix (exact): the fixed entries already break one of the
@@ -24,23 +24,82 @@ cuts drop a child prefix before it is visited:
   so arc i's bound leaves out that many of the smallest open-arc bounds.
   When the bound on the final total is strictly below the incumbent
   maximum, no completion can reach it.  Ties survive, so every witness is
-  still found, in the same order.
+  still found, in the same order;
+* dominance (searches for a maximum without prunes): an earlier prefix of
+  the same length has the same future and counts that are no smaller and
+  not all equal (below).
 
 The walk keeps its own prefix state.  Placing an entry updates it and
 taking the entry back undoes it: a histogram of the values, the running
 maximum (the connectivity-2 bridge rule), low_k = #{j <= k : v_j <= k}
 (the merged gap rule; low_k = low_{k-1} + #{j <= k : v_j = k}), the
-smallest label per value, the arc_mu of the fixed arcs summed by value, and
-that sum over values <= k.  So the exact cuts and the arc_mu of arc k+1
-cost O(1), and the bound loops over the open positions k+1..n only, in
-O(1) each.  A self-contained interval [a, k] needs v_k == k, and only then
-does the walk scan for one, with ``tuples.closed_interval`` on its own
-counts and smallest labels per value.  The one class rule no prefix
-decides, a merged tuple's value n at least twice, is tested at the leaf.
-The walk does not call the class test, so every leaf it reaches is tested
-again with ``validity_issues`` and, for simple searches,
+arc_mu of the fixed arcs summed by value, and that sum over values <= k.
+So the exact cuts and the arc_mu of arc k+1 cost O(1), and the bound
+loops over the open positions k+1..n only, in O(1) each.  The one class
+rule no prefix decides, a merged tuple's value n at least twice, is tested
+at the leaf.  The walk does not call the class test, so every leaf it
+reaches is tested again with ``validity_issues`` and, for simple searches,
 ``is_simple_tuple``: an independent check that raises RuntimeError, also
 under ``python -O``, if the walk ever leaves its class.
+
+**Window.**  At connectivity 3 the walk keeps the window mask W of a
+prefix of length k: the union, over the starts a in [lo, k] (lo = 3 on
+merged tuples, whose fused source and sink keep intervals in [3, n-1],
+and 1 on boundary ones), of the bits [M_a, L_a - 1], where M_a =
+max(v_a..v_k) and L_a = min{v_j : j < a, v_j >= a}, n+1 if there is none.
+An interval [a, p] with p >= k is self-contained when every arc labelled
+in it lands by p and no arc labelled before a lands in it, that is when
+max(M_a, v_{k+1}..v_p) <= p < L_a.  Placing v at pos = k+1 raises every
+M_a to at least v and adds the start pos with M = v and L = the smallest
+placed value >= pos, so W' = ((W | (1 << L) - 1) >> v) << v in O(1).  The
+interval rule at pos is then one bit: v == pos < n and bit pos of W' is
+set.  Boundary tuples need no test at pos = n, where [1, n] is the whole
+graph and [a, n] with a >= 2 closes [1, a-1] first.
+
+**Dominance.**  A child of length k, 2 <= k < n, that passes every other
+cut has the key (k, the counts of the values k+1..n among v_1..v_k, the
+bits of W above k) and the vector (fixed, cum, landed[k+1..n-1]): the
+arc_mu sum of arcs 1..k, the landed sum at values <= k, and the landed
+sum per value above k.  It is not visited when a stored child of its key
+has a vector componentwise at least as large and not equal; otherwise it
+is stored, and the stored vectors it dominates are dropped.  This is
+sound:
+
+1. Same key, same feasible completions.  With k >= 2, every later entry p
+   ranges over [p, n], whatever v_1 is (the canonical merged rule bounds
+   entry 2 only).  Every rule the walk applies at a later position p reads
+   only counts of values >= p, low (k less the count of values above k),
+   the running maximum (above k in every kept prefix shorter than n at
+   connectivity 2, so the largest value counted above k), the bits of W
+   above k and the smallest placed value >= p.  Each is a function of the
+   key and the later entries, and the class is exactly what those rules
+   keep, so a completion puts one prefix in the class iff it puts the
+   other there.
+2. Strict dominance, strictly smaller total.  Along a fixed completion,
+   arc i > k counts 1 + cum + the landed sums at values k+1..i-1 + the
+   counts of the later arcs that land before i, so the total is 1 + fixed
+   + a sum in which cum and every landed[u] with k < u < n appear at least
+   once, and no other component of the prefix appears.  landed[n] is read
+   by no arc and is left out.  A vector no smaller and not equal therefore
+   gives every completion a strictly larger total.
+3. Every cut is covered.  A stored child has the same length and comes
+   earlier in the walk, so its subtree is finished.  Each completion of
+   the cut child, added to the stored one, gives a tuple of the class
+   worth strictly more, which that subtree yielded or cut: by the bound,
+   below an incumbent, or by dominance, below yet another tuple, and the
+   walk is finite.  A dropped vector is dominated by the one that
+   replaced it, which cuts all it would have.  So only tuples strictly
+   below the maximum, or below an incumbent, go missing, and ties
+   survive.  The prunes drop tuples by other rules, so the cut is not
+   used with them.
+
+A vector is one int of (n+1)-bit fields, fixed at the top: every arc_mu
+and every sum of them is below 2**n, so the top bit of each field stays
+clear, and a <= b componentwise iff ((b | g) - a) & g == g, with g the top
+bits.  Fields never carry, so each key keeps its vectors in one ascending
+list: a strict dominator is numerically larger, a dominated vector
+smaller.  The key is one int as well, the packed counts above k over the
+bits of W above k.
 
 Two optional prunes discard provably suboptimal tuples:
 
@@ -60,6 +119,7 @@ The whole module is deterministic; results are reproducible bit-for-bit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -67,7 +127,6 @@ from .dag import reverse, vertex_kinds
 from .tuples import (
     ArcTuple,
     TupleClass,
-    closed_interval,
     decode,
     encode,
     is_simple_tuple,
@@ -91,7 +150,7 @@ class Budget:
     """Node counter with a hard ceiling (None means unlimited).
 
     It also counts the child prefixes the walk cut without visiting them,
-    by source: a dead prefix, a parallel edge or the bound.
+    by source: a dead prefix, a parallel edge, the bound or dominance.
     """
 
     def __init__(self, limit: int | None = None):
@@ -102,6 +161,7 @@ class Budget:
         self.dead_prefix_cuts = 0
         self.simple_cuts = 0
         self.bound_cuts = 0
+        self.dominance_cuts = 0
 
     def spend(self) -> None:
         self.used += 1
@@ -161,6 +221,7 @@ class ExtremalReport:
     dead_prefix_cuts: int = 0
     simple_cuts: int = 0
     bound_cuts: int = 0
+    dominance_cuts: int = 0
     incumbent_trail: tuple[tuple[int, int], ...] = ()  # (nodes so far, new maximum)
     closed_form: ClosedForm | None = None
     counterexamples: tuple[tuple[int, ...], ...] = ()
@@ -253,6 +314,41 @@ def _prefix_bound(
     return 1 + fixed + open_sum
 
 
+def _window_base(window: int, counts: int, width: int, pos: int) -> int:
+    """The window mask of a child at ``pos`` before entry pos clears it.
+
+    ``counts`` packs count[u] over arcs 1..pos-1 in ``width``-bit fields,
+    with a sentinel field at n+1, so L, the smallest value >= pos among
+    them, is n+1 when there is none.  The new start pos brings [v, L-1]
+    and placing v raises M_a to v for every older start a, so the child
+    placing v has the window ``base >> v << v`` with base = window | the
+    bits below L.
+    """
+    low = counts >> width * pos
+    return window | (1 << pos + ((low & -low).bit_length() - 1) // width) - 1
+
+
+def _dominated(kept: list[int], vec: int, guard: int) -> bool:
+    """Whether a vector in ``kept`` is componentwise >= vec and not equal.
+
+    If none is, vec joins ``kept`` unless an equal one is there already,
+    and the vectors it dominates leave.  ``guard`` holds the top bit of
+    each field, which no value reaches, so ``a <= b`` componentwise iff
+    ``((b | guard) - a) & guard == guard``.  Fields never carry, so the
+    list stays ascending: a strict dominator of vec is numerically larger,
+    and a vector vec dominates is no larger.
+    """
+    i = bisect_right(kept, vec)
+    for old in kept[i:]:
+        if ((old | guard) - vec) & guard == guard:
+            return True
+    if i and kept[i - 1] == vec:
+        return False
+    gv = vec | guard
+    kept[:i] = [old for old in kept[:i] if (gv - old) & guard != guard] + [vec]
+    return False
+
+
 def enumerate_tuples(
     spec: SearchSpec,
     budget: Budget | None = None,
@@ -263,15 +359,25 @@ def enumerate_tuples(
     Merged tuples are enumerated in canonical form only (first entry at
     least the second); the twin tuple decodes to the identical graph.
     Placing entry k+1 updates the prefix state of the module docstring in
-    O(1), and taking it back undoes it: ``count``, ``first`` and ``landed``
-    per value live here, and ``rec(k, top, low, cum, fixed)`` receives the
-    largest entry, #{j <= k : v_j <= k}, the landed sum at values <= k and
-    the arc_mu sum of arcs 1..k.  A child prefix that breaks a connectivity
-    rule, or for simple searches forces a parallel edge, is never visited.
-    When ``best`` is given, it returns the incumbent total (or None), and a
-    child whose ``_prefix_bound`` is strictly below it is not visited
-    either, so only tuples with a total below the incumbent go missing; the
-    bound's ``need`` list is built once per spec.
+    O(1), and taking it back undoes it: ``count`` and ``landed`` per value
+    live here, and ``rec(k, top, low, cum, fixed)`` receives the largest
+    entry, #{j <= k : v_j <= k}, the landed sum at values <= k and the
+    arc_mu sum of arcs 1..k.  At connectivity 3 or with the dominance cut,
+    the window mask, the packed counts and the packed landed sums of each
+    prefix length below n are kept per length, written by the parent.  A
+    child prefix that breaks a connectivity rule, or for simple searches
+    forces a parallel edge, is never visited.  Without ``best``, every
+    tuple of the class is yielded.
+
+    When ``best`` is given, it returns the incumbent total (or None).  A
+    child whose ``_prefix_bound`` is strictly below it is not visited, and
+    when the spec has no prunes, neither is a child that a stored child of
+    its key strictly dominates.  So a tuple goes missing only if its total
+    is strictly below an incumbent ``best`` returned, or strictly below the
+    total of another tuple of the class.  ``find_extremal``'s incumbent is
+    a yielded total, so it still sees every tuple that attains the
+    maximum.  The bound's ``need`` list and the dominance store are built
+    once per spec.
     Every leaf is tested again with ``validity_issues`` (and
     ``is_simple_tuple`` for simple searches); one outside the class raises
     RuntimeError.
@@ -285,7 +391,6 @@ def enumerate_tuples(
         budget = Budget()
     values = [0] * n
     count = [0] * (n + 1)
-    first = [0] * (n + 1)  # smallest fixed label per value, read where count > 0
     landed = [0] * (n + 1)
     need = [0] * (n + 1)  # arcs pending at each gap in every tuple of the class
     if conn >= 2:
@@ -293,13 +398,25 @@ def enumerate_tuples(
             need[g] = 2 if merged and conn == 3 and g >= 2 else 1
     if merged and n >= 2:
         need[n - 1] = max(need[n - 1], 1)
-    # lowest start of a self-contained interval [a, pos] the class forbids
-    # (0: none); the fused source and sink keep merged intervals in [3, n-1],
-    # and the whole [1, n] is the boundary graph itself
-    if merged:
-        scan_lo = [3 if 3 <= pos < n else 0 for pos in range(n + 1)]
-    else:
-        scan_lo = [1 if pos < n else 2 for pos in range(n + 1)]
+    # lowest start of a self-contained interval the class forbids; the fused
+    # source and sink keep merged intervals in [3, n-1]
+    lo = 3 if merged else 1
+    dominance = best is not None and not spec.prunes
+    # per prefix length below n, with connectivity 3 or dominance: the window
+    # mask, the packed counts and the packed landed sums
+    windowed = conn == 3 or dominance
+    width = n.bit_length()  # a count field holds 0..n
+    field = n + 1  # a vector field: every arc_mu sum stays below 2**n
+    if windowed:
+        unit = [1 << width * v for v in range(n + 1)]
+        windows = [0] * n
+        counts = [0] * n
+        counts[0] = 1 << width * (n + 1)  # the sentinel for "no value >= pos"
+        lpacks = [0] * n
+    if dominance:
+        # guards[pos]: the top bit of each of the n+1-pos fields of a vector
+        guards = [sum(1 << i * field + field - 1 for i in range(n + 1 - pos)) for pos in range(n)]
+        stores: list[dict[int, list[int]]] = [{} for _ in range(n)]
 
     def rec(k: int, top: int, low: int, cum: int, fixed: int):
         budget.spend()
@@ -322,26 +439,43 @@ def enumerate_tuples(
         pos = k + 1
         mu = 1 + cum  # arc_mu of arc pos
         fixed += mu
-        lo = 2 if merged and k == 0 else pos
-        hi = values[0] if merged and k == 1 else n
-        for v in range(lo, hi + 1):
+        first = 2 if merged and k == 0 else pos
+        last = values[0] if merged and k == 1 else n
+        inner = windowed and pos < n  # the children get packed state
+        if inner:
+            packed = counts[k]
+            landed_packed = lpacks[k]
+            # child v's window is base >> v << v; starts below lo add nothing
+            base = _window_base(windows[k], packed, width, pos) if conn == 3 and pos >= lo else 0
+            stored = dominance and pos >= 2
+            if stored:
+                # the child's key: its counts above pos, then its window
+                # above pos; its vector: landed[pos+1..n-1] from the lowest
+                # field, then cum, then fixed, with the top bit of each field
+                # in guards[pos]
+                store = stores[pos]
+                above = pos + 1
+                count_shift = width * above
+                landed_shift = field * above
+                tail = field * (n - 1 - pos)
+                tail_mask = (1 << tail) - 1
+                high = fixed << field + tail
+                guard = guards[pos]
+        for v in range(first, last + 1):
             values[k] = v
-            if not count[v]:
-                first[v] = pos
             count[v] += 1
             landed[v] += mu
             child_top = v if v > top else top
             child_low = low + count[pos]
             child_cum = cum + landed[pos]
             # the rules of tuples.validity_issues; [a, pos] can only be a
-            # self-contained interval when arc pos lands at pos
+            # self-contained interval when arc pos lands at pos, and then it
+            # is bit pos of the child's window
             if conn == 2:
                 dead = pos < n and child_top <= pos
             elif conn == 3:
                 dead = (merged and 2 <= pos < n and pos - child_low < 2) or (
-                    v == pos
-                    and scan_lo[pos] > 0
-                    and closed_interval(count, first, pos, scan_lo[pos]) is not None
+                    v == pos and pos < n and base >> pos & 1
                 )
             else:
                 dead = False
@@ -358,12 +492,34 @@ def enumerate_tuples(
                 < incumbent
             ):
                 budget.bound_cuts += 1
+            elif not inner:
+                yield from rec(pos, child_top, child_low, child_cum, fixed)
             else:
+                windows[pos] = window = base >> v << v
+                counts[pos] = packed + unit[v]
+                lpacks[pos] = landed_packed + (mu << field * v)
+                if stored:
+                    key = counts[pos] >> count_shift << n + 1 | window >> above
+                    vec = lpacks[pos] >> landed_shift & tail_mask | child_cum << tail | high
+                    kept = store.get(key)
+                    if kept is None:
+                        store[key] = [vec]
+                    elif _dominated(kept, vec, guard):
+                        budget.dominance_cuts += 1
+                        count[v] -= 1  # taken back as after a visit
+                        landed[v] -= mu
+                        continue
                 yield from rec(pos, child_top, child_low, child_cum, fixed)
             count[v] -= 1
             landed[v] -= mu
 
-    yield from rec(0, 0, 0, 0, 0)
+    try:
+        yield from rec(0, 0, 0, 0, 0)
+    finally:
+        # rec refers to itself through its closure; breaking that cycle frees
+        # the walk's state, the dominance store among it, when the walk ends
+        # instead of at some later cycle collection
+        del rec
 
 
 def find_extremal(spec: SearchSpec, budget_limit: int | None = None) -> ExtremalReport:
@@ -398,6 +554,7 @@ def find_extremal(spec: SearchSpec, budget_limit: int | None = None) -> Extremal
         dead_prefix_cuts=budget.dead_prefix_cuts,
         simple_cuts=budget.simple_cuts,
         bound_cuts=budget.bound_cuts,
+        dominance_cuts=budget.dominance_cuts,
         incumbent_trail=tuple(trail),
     )
 

@@ -16,10 +16,12 @@ values[0] >= values[1].
 
 Connectivity 2 and 3 are rules on prefixes: a tuple is valid when no
 rule is broken at any prefix 1..k (``validity_issues``), and the search
-cuts prefixes by the same rules, with the same interval scan
-(``closed_interval``).  Simplicity is a prefix rule as well: a graph has
-a parallel edge iff some prefix puts an arc right beside a path edge
-(``is_simple_tuple``), so it is decided without decoding.
+cuts prefixes by the same rules.  It tests the interval rule with a bit
+mask of its own, and ``validity_issues`` with a scan (``closed_interval``),
+so the search's leaf re-check stays independent.  Simplicity is a prefix
+rule as well: a graph has a parallel edge iff some prefix puts an arc
+right beside a path edge (``is_simple_tuple``), so it is decided without
+decoding.
 """
 from __future__ import annotations
 
@@ -119,8 +121,8 @@ def closed_interval(count: Sequence[int], first: Sequence[int], k: int, lo: int)
     ``first[v]`` the smallest label among them (read only where count[v] >
     0), for every v in [lo, k].  [a, k] is self-contained when the arcs
     landing in it are exactly the k - a + 1 arcs labelled in it: their
-    number is k - a + 1 and the smallest of their labels is a.  The search
-    keeps both lists as prefix state, and so does ``validity_issues``.
+    number is k - a + 1 and the smallest of their labels is a.
+    ``validity_issues`` keeps both lists as prefix state.
     """
     landed = 0
     smallest = k

@@ -270,7 +270,7 @@ def test_floor_contract(oracle):
         f = oracle[k]
         ladder = {r: oracle[r] for r in range(2, k)}
         for floor in (0, f - 1, f, f + 3):
-            got, arcs, _, completed, _ = _solve(k, None, ladder, floor)
+            got, arcs, _, completed, _, _ = _solve(k, None, ladder, floor)
             assert completed, (k, floor)
             if floor < f:
                 assert got == f, (k, floor)
@@ -279,6 +279,26 @@ def test_floor_contract(oracle):
             if arcs is not None:
                 assert check_assignment(k, arcs) == [], (k, floor)
                 assert recompute_counts(k, arcs) == got, (k, floor)
+
+
+def test_incumbent_trail(oracle):
+    # each leaf that raised the incumbent, (nodes so far, value), ending at f;
+    # k=10's floor is f itself, so no leaf raises it, and the trail is no
+    # part of the stored row
+    assert solve_block(14).incumbents == ((146, 47), (295, 48))
+    assert solve_block(10).incumbents == ()
+    assert "incumbents" not in table_row(solve_block(14))
+    # a floor above f: the first run (5 nodes) finds nothing above it, and
+    # the second run's trail counts those 5 nodes first
+    ladder = {r: oracle[r] for r in range(2, 12)}
+    ladder[11] *= 2
+    sol = solve_rung(12, ladder)
+    assert (sol.f, sol.floor, sol.runs, sol.nodes_explored) == (31, 61, 2, 621)
+    first_run = _solve(12, None, ladder, 61)
+    assert (first_run[2], first_run[5]) == (5, ())
+    second_run = _solve(12, None, ladder)
+    assert sol.incumbents == tuple((5 + m, value) for m, value in second_run[5])
+    assert sol.incumbents[-1] == (249, 31)
 
 
 def test_ladder_without_rung_k_minus_7_keeps_floor_0(table):

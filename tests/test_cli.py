@@ -203,9 +203,10 @@ def test_search_fibonacci(capsys):
     doc = json.loads(capsys.readouterr().out)
     outputs = doc["outputs"]
     r = check_conjecture("fibonacci", 6)
-    cuts = ("nodes", "dead_prefix_cuts", "simple_cuts", "bound_cuts")
+    cuts = ("nodes", "dead_prefix_cuts", "simple_cuts", "bound_cuts", "dominance_cuts")
     assert [outputs[key] for key in cuts] == [getattr(r, key) for key in cuts]
     assert r.dead_prefix_cuts > 0 and r.bound_cuts > 0 and r.simple_cuts == 0
+    assert r.dominance_cuts > 0
     # each raise of the maximum as [nodes so far, new maximum], ending at 22
     assert doc["provenance"]["incumbents"] == [[14, 19], [18, 20], [33, 22]]
     assert r.incumbent_trail == ((14, 19), (18, 20), (33, 22))
@@ -330,6 +331,16 @@ def test_block_json_reports_the_cuts(capsys):
     # the outputs are the block's row, as the stored table holds it
     assert outputs == table_row(solve_block(12))
     assert outputs["dominance_cuts"] > 0 and outputs["ladder_cuts"] > 0
+
+
+def test_block_json_reports_the_incumbent_trail(capsys):
+    # a solved row lists each raise of its incumbent; a stored row was not
+    # searched, so it lists none
+    assert main(["--format", "json", "block", "--k", "14"]) == 0
+    provenance = json.loads(capsys.readouterr().out)["provenance"]
+    assert provenance["incumbents"] == [[146, 47], [295, 48]]
+    assert main(["--format", "json", "block", "--k", "14", "--table", str(TABLE)]) == 0
+    assert json.loads(capsys.readouterr().out)["provenance"]["incumbents"] == []
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -31,7 +32,7 @@ from cubicpaths.search import (
     _double_label_prunable_for,
     conjecture_spec,
 )
-from cubicpaths.tuples import is_canonical
+from cubicpaths.tuples import closed_interval, is_canonical
 
 
 def test_fibonacci_basis():
@@ -194,11 +195,35 @@ def test_search_matches_brute_oracle(klass, conn):
                 assert r.witnesses == tuple(v for v in expected if totals[v] == best), spec
 
 
+@pytest.mark.parametrize("klass", (TupleClass.BOUNDARY, TupleClass.MERGED))
+def test_window_bit_is_the_interval_rule(klass):
+    # On every prefix of every tuple with v_i in [i, n], bit pos of the
+    # window mask, as the walk updates it, is set iff closed_interval finds
+    # a self-contained interval [a, pos] with a >= lo.
+    lo = 3 if klass is TupleClass.MERGED else 1
+    for length in range(1, 8):
+        width = length.bit_length()
+        for vals in itertools.product(*(range(i, length + 1) for i in range(1, length + 1))):
+            count = [0] * (length + 1)
+            first = [0] * (length + 1)
+            counts = 1 << width * (length + 1)  # the walk's sentinel field
+            window = 0
+            for pos, v in enumerate(vals, 1):
+                if pos >= lo:
+                    window = search._window_base(window, counts, width, pos) >> v << v
+                counts += 1 << width * v
+                if not count[v]:
+                    first[v] = pos
+                count[v] += 1
+                closed = closed_interval(count, first, pos, lo) is not None
+                assert bool(window >> pos & 1) == closed, (vals, pos)
+
+
 @pytest.mark.parametrize("conn", (1, 2, 3))
 @pytest.mark.parametrize("klass", (TupleClass.BOUNDARY, TupleClass.MERGED))
 def test_incremental_bound_matches_the_plain_recurrence(klass, conn, monkeypatch):
-    # An incumbent of 0 cuts nothing, so the walk bounds every prefix it
-    # keeps; each bound it computes from its pushed state must equal the
+    # An incumbent of 0 cuts nothing and the dominance cut is patched out,
+    # so the walk bounds every prefix it keeps; each bound it computes from its pushed state must equal the
     # plain class-aware bound run on the prefix, and every prefix of every
     # in-class tuple must be among them.
     seen = set()
@@ -211,6 +236,7 @@ def test_incremental_bound_matches_the_plain_recurrence(klass, conn, monkeypatch
 
     prefix_bound = search._prefix_bound
     monkeypatch.setattr(search, "_prefix_bound", checked_bound)
+    monkeypatch.setattr(search, "_dominated", lambda kept, vec, guard: False)
     for length in range(1, 8):
         for simple in (False, True):
             in_class = _in_class_tuples(length, klass, conn, simple)
@@ -224,21 +250,95 @@ def test_incremental_bound_matches_the_plain_recurrence(klass, conn, monkeypatch
 @pytest.mark.parametrize(
     "name,n,prunes,counters",
     [
-        ("fibonacci", 3, frozenset(), (9, 7, 0, 1)),
-        ("fibonacci", 4, frozenset(), (20, 19, 0, 6)),
-        ("fibonacci", 5, frozenset(), (48, 45, 0, 38)),
-        ("fibonacci", 6, frozenset(), (130, 113, 0, 178)),
-        ("fibonacci", 7, frozenset(), (475, 398, 0, 935)),
-        ("fibonacci", 8, frozenset(), (1836, 1364, 0, 4615)),
-        ("fibonacci", 9, frozenset(), (8110, 5707, 0, 23970)),
-        ("simple-2ec", 7, ALL_PRUNES, (643, 54, 344, 1069)),
+        ("fibonacci", 3, frozenset(), (9, 7, 0, 1, 0)),
+        ("fibonacci", 4, frozenset(), (20, 19, 0, 6, 0)),
+        ("fibonacci", 5, frozenset(), (45, 42, 0, 35, 3)),
+        ("fibonacci", 6, frozenset(), (106, 94, 0, 137, 20)),
+        ("fibonacci", 7, frozenset(), (295, 257, 0, 483, 134)),
+        ("fibonacci", 8, frozenset(), (827, 625, 0, 1836, 512)),
+        ("fibonacci", 9, frozenset(), (2415, 1652, 0, 6250, 2120)),
+        ("simple-2ec", 7, ALL_PRUNES, (643, 54, 344, 1069, 0)),
     ],
 )
 def test_walk_counters_are_pinned(name, n, prunes, counters):
-    # nodes and the cuts by source under the class-aware prefix bound
+    # nodes and the cuts by source under the class-aware prefix bound and,
+    # without prunes, the dominance cut
     r = check_conjecture(name, n, prunes=prunes)
     assert r.complete
-    assert (r.nodes, r.dead_prefix_cuts, r.simple_cuts, r.bound_cuts) == counters
+    found = (r.nodes, r.dead_prefix_cuts, r.simple_cuts, r.bound_cuts, r.dominance_cuts)
+    assert found == counters
+
+
+@pytest.mark.parametrize("name,n", [("fibonacci", 10), ("simple-2ec", 8)])
+def test_dominance_keeps_the_maximum_and_every_witness(name, n, monkeypatch):
+    with_cut = check_conjecture(name, n)
+    monkeypatch.setattr(search, "_dominated", lambda kept, vec, guard: False)
+    without = check_conjecture(name, n)
+    assert with_cut.complete and without.complete
+    assert with_cut.dominance_cuts > 0 and without.dominance_cuts == 0
+    assert with_cut.nodes < without.nodes
+    assert (with_cut.max_total, with_cut.witnesses) == (without.max_total, without.witnesses)
+
+
+def _fields(vec: int, guard: int) -> list[int]:
+    """The fields of a packed vector, lowest first; guard holds their top bits."""
+    width = (guard & -guard).bit_length()
+    return [vec >> width * i & (1 << width) - 1 for i in range(guard.bit_length() // width)]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        conjecture_spec("fibonacci", 7),
+        conjecture_spec("simple-2ec", 7),
+        conjecture_spec("simple-conn", 7),
+        SearchSpec(7, TupleClass.BOUNDARY, 3),
+        SearchSpec(7, TupleClass.BOUNDARY, 1, simple_only=True),
+    ],
+)
+def test_dominance_store_is_a_sorted_antichain(spec, monkeypatch):
+    # each decision is a plain field-by-field scan of the stored list, and
+    # after each call the list is strictly ascending, holds the vector
+    # unless it was cut, and no entry dominates another
+    calls = []
+
+    def checked(kept, vec, guard):
+        before = [_fields(old, guard) for old in kept]
+        mine = _fields(vec, guard)
+        cut = dominated(kept, vec, guard)
+        assert cut == any(old != mine and all(map(int.__ge__, old, mine)) for old in before)
+        assert kept == sorted(set(kept))
+        unpacked = [_fields(old, guard) for old in kept]
+        assert cut or mine in unpacked
+        for a, b in itertools.permutations(unpacked, 2):
+            assert not all(map(int.__ge__, a, b)), (a, b)
+        calls.append(cut)
+        return cut
+
+    dominated = search._dominated
+    monkeypatch.setattr(search, "_dominated", checked)
+    r = find_extremal(spec)
+    assert r.complete and r.dominance_cuts == calls.count(True) > 0
+    assert False in calls
+
+
+def test_walk_leaves_no_cyclic_garbage():
+    # the walk frees its state, the dominance store among it, when it ends,
+    # stops on the budget or is closed early, not at a later cycle collection
+    gc.disable()
+    try:
+        gc.collect()
+        spec = conjecture_spec("fibonacci", 6)
+        assert find_extremal(spec).dominance_cuts > 0
+        assert gc.collect() == 0
+        assert not find_extremal(spec, budget_limit=20).complete
+        assert gc.collect() == 0
+        walk = enumerate_tuples(spec)
+        next(walk)
+        walk.close()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_leaf_retest_rejects_a_tuple_outside_the_class(monkeypatch):
