@@ -186,6 +186,7 @@ def cmd_search(args) -> int:
         "nodes": report.nodes,
         "dead_prefix_cuts": report.dead_prefix_cuts,
         "simple_cuts": report.simple_cuts,
+        "run_cuts": report.run_cuts,
         "bound_cuts": report.bound_cuts,
         "dominance_cuts": report.dominance_cuts,
     }

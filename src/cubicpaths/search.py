@@ -3,7 +3,7 @@
 The tuple space for length n is finite (entry i ranges over [i, n]) and is
 walked as a tree of prefixes in lexicographic order.  Merged tuples are
 walked in canonical form only: entry 2 ranges over [2, v_1], so the twin
-that swaps the two source arcs (the same graph) is never built.  Four
+that swaps the two source arcs (the same graph) is never built.  Five
 cuts drop a child prefix before it is visited:
 
 * dead prefix (exact): the fixed entries already break one of the
@@ -12,6 +12,8 @@ cuts drop a child prefix before it is visited:
 * parallel edge (exact, simple searches only): the fixed entries already
   place an arc beside a path edge by a rule of ``tuples.is_simple_tuple``,
   so no completion decodes to a simple graph;
+* kind run (with the ``kind-run`` prune only): the fixed entries already
+  give the decoded graph three consecutive vertices of one kind (below);
 * bound: ``tuple_mu``'s recurrence fixes arc_mu of arcs 1..k+1 from a
   prefix of length k, and every later arc i counts at most as if the open
   arcs before it had landed, all but those the class keeps pending.  Every
@@ -25,9 +27,9 @@ cuts drop a child prefix before it is visited:
   When the bound on the final total is strictly below the incumbent
   maximum, no completion can reach it.  Ties survive, so every witness is
   still found, in the same order;
-* dominance (searches for a maximum without prunes): an earlier prefix of
-  the same length has the same future and counts that are no smaller and
-  not all equal (below).
+* dominance (searches for a maximum): an earlier prefix of the same
+  length has the same future and counts that are no smaller and not all
+  equal (below).
 
 The walk keeps its own prefix state.  Placing an entry updates it and
 taking the entry back undoes it: a histogram of the values, the running
@@ -38,9 +40,10 @@ So the exact cuts and the arc_mu of arc k+1 cost O(1), and the bound
 loops over the open positions k+1..n only, in O(1) each.  The one class
 rule no prefix decides, a merged tuple's value n at least twice, is tested
 at the leaf.  The walk does not call the class test, so every leaf it
-reaches is tested again with ``validity_issues`` and, for simple searches,
-``is_simple_tuple``: an independent check that raises RuntimeError, also
-under ``python -O``, if the walk ever leaves its class.
+reaches is tested again with ``validity_issues``, for simple searches
+``is_simple_tuple`` and, with the ``kind-run`` prune, ``kind_run_prunable``:
+an independent check that raises RuntimeError, also under ``python -O``,
+if the walk ever leaves its class.
 
 **Window.**  At connectivity 3 the walk keeps the window mask W of a
 prefix of length k: the union, over the starts a in [lo, k] (lo = 3 on
@@ -58,7 +61,8 @@ graph and [a, n] with a >= 2 closes [1, a-1] first.
 
 **Dominance.**  A child of length k, 2 <= k < n, that passes every other
 cut has the key (k, the counts of the values k+1..n among v_1..v_k, the
-bits of W above k) and the vector (fixed, cum, landed[k+1..n-1]): the
+bits of W above k, and with the ``kind-run`` prune whether the count of
+the value k is 0) and the vector (fixed, cum, landed[k+1..n-1]): the
 arc_mu sum of arcs 1..k, the landed sum at values <= k, and the landed
 sum per value above k.  It is not visited when a stored child of its key
 has a vector componentwise at least as large and not equal; otherwise it
@@ -68,8 +72,9 @@ sound:
 1. Same key, same feasible completions.  With k >= 2, every later entry p
    ranges over [p, n], whatever v_1 is (the canonical merged rule bounds
    entry 2 only).  Every rule the walk applies at a later position p reads
-   only counts of values >= p, low (k less the count of values above k),
-   the running maximum (above k in every kept prefix shorter than n at
+   only counts of values >= p (the kind-run rule at p = k+1 also reads
+   the count of k), low (k less the count of values above k), the
+   running maximum (above k in every kept prefix shorter than n at
    connectivity 2, so the largest value counted above k), the bits of W
    above k and the smallest placed value >= p.  Each is a function of the
    key and the later entries, and the class is exactly what those rules
@@ -90,8 +95,16 @@ sound:
    walk is finite.  A dropped vector is dominated by the one that
    replaced it, which cuts all it would have.  So only tuples strictly
    below the maximum, or below an incumbent, go missing, and ties
-   survive.  The prunes drop tuples by other rules, so the cut is not
-   used with them.
+   survive.
+4. The prunes keep it sound.  With the ``kind-run`` prune the run rule
+   is one of the walk's rules, so in 1-3 the class is its run-free part.
+   The ``double-label`` test drops, at the leaf, only tuples strictly
+   below an in-class lowering, so in 3 a chain may also end at such a
+   drop, still strictly above the lost tuple.  Either way a dominance
+   cut loses only tuples strictly below another tuple of the class, never
+   one that attains the class maximum.  So wherever the pruned maximum
+   equals the unpruned one, the search returns the same maximum and
+   witness list with and without the dominance cut.
 
 A vector is one int of (n+1)-bit fields, fixed at the top: every arc_mu
 and every sum of them is below 2**n, so the top bit of each field stays
@@ -99,7 +112,7 @@ clear, and a <= b componentwise iff ((b | g) - a) & g == g, with g the top
 bits.  Fields never carry, so each key keeps its vectors in one ascending
 list: a strict dominator is numerically larger, a dominated vector
 smaller.  The key is one int as well, the packed counts above k over the
-bits of W above k.
+bits of W above k, over the count-of-k bit with the ``kind-run`` prune.
 
 Two optional prunes discard provably suboptimal tuples:
 
@@ -113,6 +126,15 @@ Two optional prunes discard provably suboptimal tuples:
   run does at least as well, so the maximum is kept; maximizers that only
   tie with it are dropped, though: on merged, connectivity 1, simple
   tuples the search keeps 4 of the 5 witnesses at n=6 and 2 of 5 at n=7.
+  It is a prefix rule of the walk.  Let c_v = #{j : v_j = v}.  The kind
+  word is 0 1^{c_1} 0 1^{c_2} ... 0 1^{c_n} on boundary tuples and
+  0 1^{c_2} 0 1^{c_3} ... 0 1^{c_n - 1} on merged ones (the fused source
+  is the first 0, the fused sink the last 1).  So a run is c_v >= 3 (on
+  merged tuples for 2 <= v <= n-1, and c_n >= 4), or c_{p-1} = c_p = 0
+  for 2 <= p <= n on boundary tuples and 3 <= p <= n-1 on merged ones.
+  Entries are at least their index, so c_p is final once entry p is
+  placed, and a child placing v at pos is cut in O(1) when c_v reaches
+  its cap or c_{pos-1} = c_pos = 0.
 
 The whole module is deterministic; results are reproducible bit-for-bit.
 """
@@ -150,7 +172,8 @@ class Budget:
     """Node counter with a hard ceiling (None means unlimited).
 
     It also counts the child prefixes the walk cut without visiting them,
-    by source: a dead prefix, a parallel edge, the bound or dominance.
+    by source: a dead prefix, a kind run, a parallel edge, the bound or
+    dominance.
     """
 
     def __init__(self, limit: int | None = None):
@@ -160,6 +183,7 @@ class Budget:
         self.used = 0
         self.dead_prefix_cuts = 0
         self.simple_cuts = 0
+        self.run_cuts = 0
         self.bound_cuts = 0
         self.dominance_cuts = 0
 
@@ -220,6 +244,7 @@ class ExtremalReport:
     nodes: int
     dead_prefix_cuts: int = 0
     simple_cuts: int = 0
+    run_cuts: int = 0
     bound_cuts: int = 0
     dominance_cuts: int = 0
     incumbent_trail: tuple[tuple[int, int], ...] = ()  # (nodes so far, new maximum)
@@ -365,22 +390,24 @@ def enumerate_tuples(
     arc_mu sum of arcs 1..k.  At connectivity 3 or with the dominance cut,
     the window mask, the packed counts and the packed landed sums of each
     prefix length below n are kept per length, written by the parent.  A
-    child prefix that breaks a connectivity rule, or for simple searches
-    forces a parallel edge, is never visited.  Without ``best``, every
-    tuple of the class is yielded.
+    child prefix that breaks a connectivity rule, for simple searches
+    forces a parallel edge, or with the ``kind-run`` prune forces a kind
+    run, is never visited.  Without ``best``, every tuple of the class
+    (without a kind run, with that prune) is yielded, less those the
+    ``double-label`` prune drops at the leaf.
 
     When ``best`` is given, it returns the incumbent total (or None).  A
     child whose ``_prefix_bound`` is strictly below it is not visited, and
-    when the spec has no prunes, neither is a child that a stored child of
-    its key strictly dominates.  So a tuple goes missing only if its total
-    is strictly below an incumbent ``best`` returned, or strictly below the
-    total of another tuple of the class.  ``find_extremal``'s incumbent is
-    a yielded total, so it still sees every tuple that attains the
-    maximum.  The bound's ``need`` list and the dominance store are built
-    once per spec.
+    neither is a child that a stored child of its key strictly dominates.
+    So a tuple goes missing only if its total is strictly below an
+    incumbent ``best`` returned, strictly below the total of another tuple
+    of the class, or it has a kind run and the ``kind-run`` prune is on.
+    ``find_extremal``'s incumbent is a yielded total, so it still sees
+    every tuple that attains the maximum it reports.  The bound's ``need``
+    list and the dominance store are built once per spec.
     Every leaf is tested again with ``validity_issues`` (and
-    ``is_simple_tuple`` for simple searches); one outside the class raises
-    RuntimeError.
+    ``is_simple_tuple`` for simple searches, ``kind_run_prunable`` with the
+    ``kind-run`` prune); one outside the class raises RuntimeError.
     """
     n = spec.n
     klass = spec.klass
@@ -401,7 +428,15 @@ def enumerate_tuples(
     # lowest start of a self-contained interval the class forbids; the fused
     # source and sink keep merged intervals in [3, n-1]
     lo = 3 if merged else 1
-    dominance = best is not None and not spec.prunes
+    dominance = best is not None
+    runs = PRUNE_KIND_RUN in spec.prunes
+    # with runs: a child at pos in [pair_lo, pair_hi] is cut when no entry
+    # takes the value pos-1 or pos, and one placing v when the count of v
+    # reaches run_cap[v]
+    pair_lo, pair_hi = (3, n - 1) if merged else (2, n)
+    run_cap = [3] * (n + 1)
+    if merged:
+        run_cap[n] = 4
     # per prefix length below n, with connectivity 3 or dominance: the window
     # mask, the packed counts and the packed landed sums
     windowed = conn == 3 or dominance
@@ -428,11 +463,11 @@ def enumerate_tuples(
             issues = validity_issues(t, conn)
             if simple and not is_simple_tuple(t):
                 issues.append("it decodes to a graph with a parallel edge")
+            if runs and kind_run_prunable(t):
+                issues.append("it decodes to a graph with a kind run")
             if issues:
                 raise RuntimeError(f"the walk left its class at {t.values}: {'; '.join(issues)}")
             if PRUNE_DOUBLE_LABEL in spec.prunes and _double_label_prunable_for(t, spec):
-                return
-            if PRUNE_KIND_RUN in spec.prunes and kind_run_prunable(t):
                 return
             yield t
             return
@@ -442,6 +477,8 @@ def enumerate_tuples(
         first = 2 if merged and k == 0 else pos
         last = values[0] if merged and k == 1 else n
         inner = windowed and pos < n  # the children get packed state
+        # count[pos-1] is final here: later entries are at least pos
+        empty_pair = runs and pair_lo <= pos <= pair_hi and not count[pos - 1]
         if inner:
             packed = counts[k]
             landed_packed = lpacks[k]
@@ -481,6 +518,8 @@ def enumerate_tuples(
                 dead = False
             if dead:
                 budget.dead_prefix_cuts += 1
+            elif runs and (count[v] >= run_cap[v] or (empty_pair and not count[pos])):
+                budget.run_cuts += 1
             elif simple and (  # the rules of tuples.is_simple_tuple
                 (v == 2) if merged and pos == 1
                 else (count[n] == 2) if merged and pos == n
@@ -500,6 +539,8 @@ def enumerate_tuples(
                 lpacks[pos] = landed_packed + (mu << field * v)
                 if stored:
                     key = counts[pos] >> count_shift << n + 1 | window >> above
+                    if runs:  # the run rule at pos+1 reads count[pos]
+                        key = key << 1 | (not count[pos])
                     vec = lpacks[pos] >> landed_shift & tail_mask | child_cum << tail | high
                     kept = store.get(key)
                     if kept is None:
@@ -526,8 +567,10 @@ def find_extremal(spec: SearchSpec, budget_limit: int | None = None) -> Extremal
     """Maximum total over the spec's tuples, with the witnesses attaining it.
 
     Without the kind-run prune these are all the witnesses; with it, the
-    maximum is the same but tied witnesses can be missing.  Each raise of
-    the incumbent is recorded as (nodes so far, new maximum).
+    maximum is the one over tuples without a kind run, and tied witnesses
+    with a run are missing.  Where that maximum is the unpruned one, the
+    witnesses are every run-free tuple attaining it.  Each raise of the
+    incumbent is recorded as (nodes so far, new maximum).
     """
     budget = Budget(budget_limit)
     best: int | None = None
@@ -553,6 +596,7 @@ def find_extremal(spec: SearchSpec, budget_limit: int | None = None) -> Extremal
         nodes=budget.used,
         dead_prefix_cuts=budget.dead_prefix_cuts,
         simple_cuts=budget.simple_cuts,
+        run_cuts=budget.run_cuts,
         bound_cuts=budget.bound_cuts,
         dominance_cuts=budget.dominance_cuts,
         incumbent_trail=tuple(trail),

@@ -203,9 +203,9 @@ def test_search_fibonacci(capsys):
     doc = json.loads(capsys.readouterr().out)
     outputs = doc["outputs"]
     r = check_conjecture("fibonacci", 6)
-    cuts = ("nodes", "dead_prefix_cuts", "simple_cuts", "bound_cuts", "dominance_cuts")
+    cuts = ("nodes", "dead_prefix_cuts", "simple_cuts", "run_cuts", "bound_cuts", "dominance_cuts")
     assert [outputs[key] for key in cuts] == [getattr(r, key) for key in cuts]
-    assert r.dead_prefix_cuts > 0 and r.bound_cuts > 0 and r.simple_cuts == 0
+    assert r.dead_prefix_cuts > 0 and r.bound_cuts > 0 and r.simple_cuts == r.run_cuts == 0
     assert r.dominance_cuts > 0
     # each raise of the maximum as [nodes so far, new maximum], ending at 22
     assert doc["provenance"]["incumbents"] == [[14, 19], [18, 20], [33, 22]]
@@ -227,6 +227,7 @@ def test_search_check_reports_the_searched_spec(capsys):
     }
     r = check_conjecture("simple-2ec", 5, prunes=frozenset({"kind-run"}))
     assert doc["outputs"]["simple_cuts"] == r.simple_cuts > 0
+    assert doc["outputs"]["run_cuts"] == r.run_cuts > 0
     assert doc["outputs"]["max_total"] == r.max_total == 16
 
 

@@ -168,6 +168,14 @@ def _class_bound(values: list[int], k: int, klass: TupleClass, conn: int) -> int
     return 1 + fixed + sum(open_bounds)
 
 
+PRUNE_SUBSETS = (
+    frozenset(),
+    frozenset({PRUNE_DOUBLE_LABEL}),
+    frozenset({PRUNE_KIND_RUN}),
+    ALL_PRUNES,
+)
+
+
 def _kept_by_prunes(t: ArcTuple, spec: SearchSpec) -> bool:
     if PRUNE_DOUBLE_LABEL in spec.prunes and _double_label_prunable_for(t, spec):
         return False
@@ -185,7 +193,7 @@ def test_search_matches_brute_oracle(klass, conn):
                 for k in range(1, length + 1):
                     bound = _class_bound(list(t.values), k, klass, conn)
                     assert totals[t.values] <= bound <= _total_bound(list(t.values), k), (t, k)
-            for prunes in (frozenset(), ALL_PRUNES):
+            for prunes in PRUNE_SUBSETS:
                 spec = SearchSpec(length, klass, conn, simple, prunes)
                 expected = [t.values for t in in_class if _kept_by_prunes(t, spec)]
                 assert [t.values for t in enumerate_tuples(spec)] == expected, spec
@@ -250,30 +258,39 @@ def test_incremental_bound_matches_the_plain_recurrence(klass, conn, monkeypatch
 @pytest.mark.parametrize(
     "name,n,prunes,counters",
     [
-        ("fibonacci", 3, frozenset(), (9, 7, 0, 1, 0)),
-        ("fibonacci", 4, frozenset(), (20, 19, 0, 6, 0)),
-        ("fibonacci", 5, frozenset(), (45, 42, 0, 35, 3)),
-        ("fibonacci", 6, frozenset(), (106, 94, 0, 137, 20)),
-        ("fibonacci", 7, frozenset(), (295, 257, 0, 483, 134)),
-        ("fibonacci", 8, frozenset(), (827, 625, 0, 1836, 512)),
-        ("fibonacci", 9, frozenset(), (2415, 1652, 0, 6250, 2120)),
-        ("simple-2ec", 7, ALL_PRUNES, (643, 54, 344, 1069, 0)),
+        ("fibonacci", 3, frozenset(), (9, 7, 0, 0, 1, 0)),
+        ("fibonacci", 4, frozenset(), (20, 19, 0, 0, 6, 0)),
+        ("fibonacci", 5, frozenset(), (45, 42, 0, 0, 35, 3)),
+        ("fibonacci", 6, frozenset(), (106, 94, 0, 0, 137, 20)),
+        ("fibonacci", 7, frozenset(), (295, 257, 0, 0, 483, 134)),
+        ("fibonacci", 8, frozenset(), (827, 625, 0, 0, 1836, 512)),
+        ("fibonacci", 9, frozenset(), (2415, 1652, 0, 0, 6250, 2120)),
+        ("simple-2ec", 7, ALL_PRUNES, (304, 38, 144, 168, 297, 105)),
+        ("fibonacci", 9, frozenset({PRUNE_KIND_RUN}), (1676, 1264, 0, 1618, 2647, 609)),
     ],
 )
 def test_walk_counters_are_pinned(name, n, prunes, counters):
-    # nodes and the cuts by source under the class-aware prefix bound and,
-    # without prunes, the dominance cut
+    # nodes and the cuts by source: dead prefix, parallel edge, kind run,
+    # the class-aware prefix bound and dominance
     r = check_conjecture(name, n, prunes=prunes)
     assert r.complete
-    found = (r.nodes, r.dead_prefix_cuts, r.simple_cuts, r.bound_cuts, r.dominance_cuts)
+    found = (r.nodes, r.dead_prefix_cuts, r.simple_cuts, r.run_cuts, r.bound_cuts, r.dominance_cuts)
     assert found == counters
 
 
-@pytest.mark.parametrize("name,n", [("fibonacci", 10), ("simple-2ec", 8)])
-def test_dominance_keeps_the_maximum_and_every_witness(name, n, monkeypatch):
-    with_cut = check_conjecture(name, n)
+@pytest.mark.parametrize(
+    "name,n,prunes",
+    [
+        pytest.param("fibonacci", 10, frozenset(), id="fibonacci-10"),
+        pytest.param("simple-2ec", 8, frozenset(), id="simple-2ec-8"),
+        pytest.param("simple-2ec", 8, ALL_PRUNES, id="simple-2ec-8-all-prunes"),
+        pytest.param("fibonacci", 10, frozenset({PRUNE_KIND_RUN}), id="fibonacci-10-kind-run"),
+    ],
+)
+def test_dominance_keeps_the_maximum_and_every_witness(name, n, prunes, monkeypatch):
+    with_cut = check_conjecture(name, n, prunes=prunes)
     monkeypatch.setattr(search, "_dominated", lambda kept, vec, guard: False)
-    without = check_conjecture(name, n)
+    without = check_conjecture(name, n, prunes=prunes)
     assert with_cut.complete and without.complete
     assert with_cut.dominance_cuts > 0 and without.dominance_cuts == 0
     assert with_cut.nodes < without.nodes
@@ -345,6 +362,15 @@ def test_leaf_retest_rejects_a_tuple_outside_the_class(monkeypatch):
     monkeypatch.setattr(search, "validity_issues", lambda t, conn: ["planted issue"])
     with pytest.raises(RuntimeError, match="left its class at .*: planted issue"):
         find_extremal(SearchSpec(5, TupleClass.MERGED, 3))
+
+
+def test_leaf_retest_rejects_a_kind_run_the_walk_let_through(monkeypatch):
+    monkeypatch.setattr(search, "kind_run_prunable", lambda t: True)
+    spec = SearchSpec(5, TupleClass.MERGED, 3, prunes=frozenset({PRUNE_KIND_RUN}))
+    with pytest.raises(RuntimeError, match="left its class at .*: it decodes to a graph with a kind run"):
+        find_extremal(spec)
+    # without the prune the leaf does not ask
+    assert find_extremal(SearchSpec(5, TupleClass.MERGED, 3)).complete
 
 
 def test_leaf_retest_rejects_a_parallel_edge_in_a_simple_search(monkeypatch):
