@@ -9,7 +9,10 @@ all functions pure.
 The one cache is a ``Dag``'s validation verdict: it is computed on first
 use and stored on the instance, from frozen fields only, so a ``Dag`` can
 still be shared freely between threads (a concurrent first use at worst
-computes the same verdict twice).
+computes the same verdict twice).  It stays the only one: a function
+makes its own pass over the sorted edges for the degrees it reads.  Caching
+degree lists on every ``Dag`` took graph-rewrite's peak RSS from 58.3 to
+64.3 MB (+10%) for a wall-time cut of about 10%, against 20% without it.
 
 Path counts are plain Python ints (arbitrary precision); they grow roughly
 like 1.68**n, which overflows any fixed-width type long before n = 60.
@@ -103,7 +106,11 @@ def degree_vectors(vertex_count: int, edges) -> tuple[list[int], list[int]]:
 
 
 def adjacency(dag: Dag) -> tuple[list[list[int]], list[list[int]]]:
-    """1-based (out, in) neighbour lists with multiplicity; index 0 is unused."""
+    """1-based (out, in) neighbour lists with multiplicity; index 0 is unused.
+
+    Only the ``hamilton`` moves call it (``outgoing_move``, ``incoming_move``
+    and ``hamiltonize``), to edit the lists in place.
+    """
     outs: list[list[int]] = [[] for _ in range(dag.vertex_count + 1)]
     ins: list[list[int]] = [[] for _ in range(dag.vertex_count + 1)]
     for u, v in dag.edges:
@@ -242,8 +249,8 @@ def edge_connectivity_at_least(dag: Dag, ell: int) -> bool:
 def is_on_ham_path(dag: Dag) -> bool:
     """True iff the consecutive edge (i, i+1) is present for every i."""
     require_valid(dag)
-    present = set(dag.edges)
-    return all((i, i + 1) in present for i in range(1, dag.vertex_count))
+    n = dag.vertex_count
+    return set(zip(range(1, n), range(2, n + 1))).issubset(dag.edges)
 
 
 def is_simple(dag: Dag) -> bool:
@@ -282,6 +289,8 @@ def structural_3ec(dag: Dag) -> tuple[bool, Witness | None]:
     i.  Once some in-neighbour w of j lies below i, the sweep for i stops:
     the edge (w, j) and the two path edges cross [i, j'] for every j' >= j.
     Each step is O(1), so the scan still costs O(n^2) in the worst case.
+    The edges are sorted by tail, so in one reverse pass over them the last
+    write to low[j] is j's smallest in-neighbour.
     i stays outer and j inner, and only intervals crossed by at least 3
     edges are skipped, so the witness is the first interval in lexicographic
     order, as with a rescan of every interval.
@@ -290,17 +299,19 @@ def structural_3ec(dag: Dag) -> tuple[bool, Witness | None]:
     if not is_on_ham_path(dag):
         raise InvalidDagError(("structural_3ec requires a Hamiltonian path",))
     n = dag.vertex_count
-    outs, ins = adjacency(dag)
+    indeg, outdeg = degree_vectors(n, dag.edges)
     balance = 0
     for k in range(1, n + 1):
-        if len(ins[k]) == 2:
+        if indeg[k] == 2:
             balance += 1
-        elif len(outs[k]) == 2:
+        elif outdeg[k] == 2:
             balance -= 1
         if balance > 0:
             return False, ("initial-segment", k)
-    low = [min(ins[v], default=0) for v in range(n + 1)]
-    step = [len(outs[v]) - len(ins[v]) for v in range(n + 1)]
+    low = [0] * (n + 1)  # smallest in-neighbour; 0 at the source
+    for u, v in reversed(dag.edges):
+        low[v] = u
+    step = list(map(int.__sub__, outdeg, indeg))
     for i in range(2, n):
         crossing = 3
         for j in range(i + 1, n):

@@ -29,6 +29,7 @@ from .dag import (
     DegreeProfile,
     adjacency,
     count_paths,
+    degree_vectors,
     is_on_ham_path,
     require_cubic,
     require_valid,
@@ -69,23 +70,31 @@ def tree_sort_order(dag: Dag) -> tuple[int, ...]:
     first and members in original order, with the trees stably sorted by
     count: one sort on (root's count, root, vertex).  A tail lies in its
     head's tree or in one of smaller count, so every edge still goes forward.
+    The edges are sorted by tail, so in one pass over them root[u] is final
+    before the first edge out of u is read.
     """
     require_cubic(dag)
     n = dag.vertex_count
-    _, ins = adjacency(dag)
+    indeg, _ = degree_vectors(n, dag.edges)
     mu = (0, *count_paths(dag).mu)
     root = list(range(n + 1))
-    for v in range(2, n + 1):
-        if len(ins[v]) == 1:
-            root[v] = root[ins[v][0]]
+    for u, v in dag.edges:
+        if indeg[v] == 1:
+            root[v] = root[u]
     return tuple(sorted(range(1, n + 1), key=lambda v: (mu[root[v]], root[v], v)))
 
 
 def renumber(dag: Dag, order: tuple[int, ...]) -> Dag:
-    """Apply a new vertex order (position in `order` = new number)."""
-    pos = {old: new for new, old in enumerate(order, 1)}
+    """Apply a new vertex order (position in `order` = new number).
+
+    Raises ``ValueError`` unless ``order`` is a permutation of 1..N.
+    """
+    n = dag.vertex_count
+    if sorted(order) != list(range(1, n + 1)):
+        raise ValueError(f"order must be a permutation of 1..{n}, got {tuple(order)}")
+    pos = sorted(range(n + 1), key=(0, *order).__getitem__)  # the inverse: pos[old] = new
     edges = tuple((pos[u], pos[v]) for u, v in dag.edges)
-    return Dag(dag.vertex_count, edges, dag.profile)
+    return Dag(n, edges, dag.profile)
 
 
 def tree_sort(dag: Dag) -> Dag:

@@ -258,26 +258,16 @@ def decode(t: ArcTuple) -> Dag:
     vals = t.values
     n = len(vals)
     tail_pos, head_pos = _boundary_layout(vals)
-    edges = [(p, p + 1) for p in range(1, 2 * n)]
-    edges += [(tail_pos[i], head_pos[i]) for i in range(1, n + 1)]
     if t.klass is TupleClass.BOUNDARY:
-        return Dag(2 * n, tuple(edges), DegreeProfile.BOUNDARY_DEG2)
-
-    # merged: fuse vertices {1, 2} into the source and {2n-1, 2n} into the
-    # sink; the two dropped path edges become internal to the fused vertices.
-    def shift(p: int) -> int:
-        if p <= 2:
-            return 1
-        if p >= 2 * n - 1:
-            return 2 * n - 2
-        return p - 1
-
-    merged = []
-    for u, v in edges:
-        if (u, v) in ((1, 2), (2 * n - 1, 2 * n)):
-            continue
-        merged.append((shift(u), shift(v)))
-    return Dag(2 * n - 2, tuple(merged), DegreeProfile.THREE_REGULAR)
+        size, profile, at = 2 * n, DegreeProfile.BOUNDARY_DEG2, range(2 * n + 1)
+    else:
+        # merged: fuse vertices {1, 2} into the source and {2n-1, 2n} into the
+        # sink, so boundary vertex p becomes at[p] and two path edges vanish.
+        size, profile = 2 * n - 2, DegreeProfile.THREE_REGULAR
+        at = [0, 1, *range(1, size), size, size]
+    edges = [(p, p + 1) for p in range(1, size)]
+    edges += zip(map(at.__getitem__, tail_pos[1:]), map(at.__getitem__, head_pos[1:]))
+    return Dag(size, tuple(edges), profile)
 
 
 def encode(dag: Dag) -> ArcTuple:
@@ -286,34 +276,22 @@ def encode(dag: Dag) -> ArcTuple:
     Boundary-degree-2 graphs yield boundary tuples; 3-regular graphs yield
     canonical merged tuples (the two source arcs are ordered so the first
     entry dominates the second).
+
+    The edges are sorted by tail and then head, so copies of an edge sit
+    together and the first copy of each (i, i+1) is the path edge.  The arcs
+    come out with tails ascending, so an arc's value, the number of tails
+    before its head, is one bisection of the tails; the merged source's two
+    arcs are the only tie, and ``canonicalize`` orders them.
     """
     require_valid(dag, with_profile=True)
     if not is_on_ham_path(dag):
         raise InvalidDagError(("encode requires a Hamiltonian path",))
-    n_vertices = dag.vertex_count
-    path_left = {(i, i + 1): 1 for i in range(1, n_vertices)}
-    arcs = []
-    for e in dag.edges:
-        if path_left.get(e, 0) > 0:
-            path_left[e] -= 1
-            continue
-        arcs.append(e)
-
-    merged = dag.profile is DegreeProfile.THREE_REGULAR
-    # Arc tails with multiplicity; in the merged class the source carries
-    # two arcs and is the only possible tie.
-    tails = sorted(u for u, _ in arcs)
-
-    def rho_of(head: int) -> int:
-        """Largest label used strictly before `head` = #tails before it."""
-        return bisect_left(tails, head)
-
-    # Labels follow tail order; the source's pair is ordered dominant-first
-    # so merged tuples come out canonical.
-    labelled = sorted(arcs, key=lambda e: (e[0], -rho_of(e[1]), e[1]))
-    values = tuple(rho_of(v) for _, v in labelled)
-    klass = TupleClass.MERGED if merged else TupleClass.BOUNDARY
-    t = ArcTuple(values, klass)
+    edges = dag.edges
+    arcs = [e for e, prev in zip(edges, (None, *edges)) if e[1] != e[0] + 1 or e == prev]
+    tails = [u for u, _ in arcs]
+    values = tuple(bisect_left(tails, v) for _, v in arcs)
+    klass = TupleClass.MERGED if dag.profile is DegreeProfile.THREE_REGULAR else TupleClass.BOUNDARY
+    t = canonicalize(ArcTuple(values, klass))
     issues = class_issues(t)
     if issues:
         raise InvalidDagError(tuple(f"encoded tuple invalid: {s}" for s in issues))

@@ -69,6 +69,17 @@ def test_tree_sort_order_properties_on_criterion_05_fleet():
     assert checked == 10080
 
 
+@pytest.mark.parametrize(
+    "order",
+    [(1, 3, 5, 2, 4, 4), (1, 3, 5, 2, 4), (1, 3, 5, 2, 4, 6, 7), (0, 1, 3, 5, 2, 4)],
+    ids=["duplicate", "missing", "extra", "out-of-range"],
+)
+def test_renumber_rejects_an_order_that_is_not_a_permutation(six_vertex, order):
+    # an explicit check, so it also holds under python -O
+    with pytest.raises(ValueError, match="permutation of 1..6"):
+        hamilton.renumber(six_vertex, order)
+
+
 def test_tree_sort_fixed_point(truncated_tetrahedron):
     assert tree_sort(truncated_tetrahedron) == truncated_tetrahedron
 

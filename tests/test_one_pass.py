@@ -1,0 +1,180 @@
+"""The single-pass graph functions against their neighbour-list formulations.
+
+``tree_sort_order``, ``renumber``, ``is_on_ham_path``, ``structural_3ec``,
+``encode`` and ``decode`` read what they need off one pass over
+``Dag.edges``, relying on its order (by tail, then head).  The references
+below are the earlier formulations, built on neighbour lists, a path-edge
+dict, key sorts and a per-endpoint shift; outputs and errors must be equal.
+"""
+import itertools
+import random
+from bisect import bisect_left
+
+from cubicpaths import (
+    ArcTuple,
+    Dag,
+    DegreeProfile,
+    InvalidDagError,
+    TupleClass,
+    count_paths,
+    decode,
+    encode,
+    hamiltonize,
+    is_on_ham_path,
+    structural_3ec,
+    tree_sort_order,
+)
+from cubicpaths.dag import adjacency, require_cubic, require_valid
+from cubicpaths.hamilton import renumber
+from cubicpaths.tuples import _boundary_layout, class_issues, is_simple_tuple
+
+from conftest import boundary_tuples, merged_tuples, random_cubic
+
+
+def _reference_on_ham_path(dag):
+    require_valid(dag)
+    present = set(dag.edges)
+    return all((i, i + 1) in present for i in range(1, dag.vertex_count))
+
+
+def _reference_tree_sort_order(dag):
+    require_cubic(dag)
+    n = dag.vertex_count
+    _, ins = adjacency(dag)
+    mu = (0, *count_paths(dag).mu)
+    root = list(range(n + 1))
+    for v in range(2, n + 1):
+        if len(ins[v]) == 1:
+            root[v] = root[ins[v][0]]
+    return tuple(sorted(range(1, n + 1), key=lambda v: (mu[root[v]], root[v], v)))
+
+
+def _reference_renumber(dag, order):
+    pos = {old: new for new, old in enumerate(order, 1)}
+    return Dag(dag.vertex_count, tuple((pos[u], pos[v]) for u, v in dag.edges), dag.profile)
+
+
+def _reference_3ec(dag):
+    """``structural_3ec`` with ``low`` and ``step`` read off neighbour lists."""
+    require_cubic(dag)
+    if not _reference_on_ham_path(dag):
+        raise InvalidDagError(("structural_3ec requires a Hamiltonian path",))
+    n = dag.vertex_count
+    outs, ins = adjacency(dag)
+    balance = 0
+    for k in range(1, n + 1):
+        if len(ins[k]) == 2:
+            balance += 1
+        elif len(outs[k]) == 2:
+            balance -= 1
+        if balance > 0:
+            return False, ("initial-segment", k)
+    low = [min(ins[v], default=0) for v in range(n + 1)]
+    step = [len(outs[v]) - len(ins[v]) for v in range(n + 1)]
+    for i in range(2, n):
+        crossing = 3
+        for j in range(i + 1, n):
+            if low[j] < i:
+                break
+            crossing += step[j]
+            if crossing == 2:
+                return False, ("interval", i, j)
+    return True, None
+
+
+def _reference_encode(dag):
+    """``encode`` with a path-edge dict and a (tail, -value, head) label sort."""
+    require_valid(dag, with_profile=True)
+    if not _reference_on_ham_path(dag):
+        raise InvalidDagError(("encode requires a Hamiltonian path",))
+    path_left = {(i, i + 1): 1 for i in range(1, dag.vertex_count)}
+    arcs = []
+    for e in dag.edges:
+        if path_left.get(e, 0) > 0:
+            path_left[e] -= 1
+        else:
+            arcs.append(e)
+    tails = sorted(u for u, _ in arcs)
+
+    def rho(head):
+        return bisect_left(tails, head)
+
+    labelled = sorted(arcs, key=lambda e: (e[0], -rho(e[1]), e[1]))
+    merged = dag.profile is DegreeProfile.THREE_REGULAR
+    t = ArcTuple(tuple(rho(v) for _, v in labelled), TupleClass.MERGED if merged else TupleClass.BOUNDARY)
+    issues = class_issues(t)
+    if issues:
+        raise InvalidDagError(tuple(f"encoded tuple invalid: {s}" for s in issues))
+    return t
+
+
+def _reference_decode(t):
+    """``decode`` that builds the boundary graph and shifts every endpoint."""
+    n = len(t.values)
+    tail_pos, head_pos = _boundary_layout(t.values)
+    edges = [(p, p + 1) for p in range(1, 2 * n)]
+    edges += [(tail_pos[i], head_pos[i]) for i in range(1, n + 1)]
+    if t.klass is TupleClass.BOUNDARY:
+        return Dag(2 * n, tuple(edges), DegreeProfile.BOUNDARY_DEG2)
+
+    def shift(p):
+        return 1 if p <= 2 else 2 * n - 2 if p >= 2 * n - 1 else p - 1
+
+    merged = [(shift(u), shift(v)) for u, v in edges if (u, v) not in ((1, 2), (2 * n - 1, 2 * n))]
+    return Dag(2 * n - 2, tuple(merged), DegreeProfile.THREE_REGULAR)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InvalidDagError as exc:
+        return ("raises", exc.violations)
+
+
+def test_codec_tree_sort_and_3ec_match_the_references_on_every_small_tuple():
+    tuples = [t for length in range(1, 8) for t in boundary_tuples(length)]
+    tuples += [t for length in range(2, 8) for t in merged_tuples(length)]
+    assert len(tuples) == 5913 + 2520
+    assert sum(not is_simple_tuple(t) for t in tuples) == 5591  # parallel edges included
+    for t in tuples:
+        g = decode(t)
+        assert g == _reference_decode(t), t
+        assert encode(g) == _reference_encode(g) == t
+        assert is_on_ham_path(g)
+        if t.klass is TupleClass.MERGED:
+            assert tree_sort_order(g) == _reference_tree_sort_order(g), t
+            assert structural_3ec(g) == _reference_3ec(g), t
+
+
+def test_is_on_ham_path_matches_the_reference_on_every_small_simple_graph():
+    verdicts = []
+    for n in range(2, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            g = Dag(n, tuple(e for k, e in enumerate(pairs) if mask >> k & 1))
+            verdict = _outcome(is_on_ham_path, g)
+            assert verdict == _outcome(_reference_on_ham_path, g), g.edges
+            verdicts.append(verdict)
+    assert len(verdicts) == 1098
+    assert verdicts.count(True) == 1 + 2 + 8 + 64 and verdicts.count(False) > 0
+
+
+def test_one_pass_functions_match_the_references_on_random_graphs():
+    rng = random.Random(2027)
+    kinds = set()
+    for _ in range(200):
+        g = random_cubic(rng, 2 * rng.randint(8, 32))
+        h, _ = hamiltonize(g)
+        for x in (g, h, decode(encode(h))):
+            order = tree_sort_order(x)
+            assert order == _reference_tree_sort_order(x), x.edges
+            shuffled = rng.sample(order, len(order))
+            for o in (order, shuffled):
+                assert renumber(x, o) == _reference_renumber(x, o)
+            assert is_on_ham_path(x) == _reference_on_ham_path(x)
+            assert _outcome(encode, x) == _outcome(_reference_encode, x), x.edges
+            verdict = _outcome(structural_3ec, x)
+            assert verdict == _outcome(_reference_3ec, x), x.edges
+            kinds.add("raises" if verdict[0] == "raises" else None if verdict[1] is None else verdict[1][0])
+    # off the path both raise; on it every kind of verdict occurs
+    assert kinds == {"raises", None, "initial-segment", "interval"}
