@@ -14,10 +14,17 @@ Both hold a placement in one ``partner`` array: vertex c is incoming iff
 k+2 for the dummy sink).
 
 The admissible upper bound used for pruning: a completed solution restricted
-to positions b..k embeds into a standalone block of length k-b+1 whose
-incoming dummy arcs dominate every arc entering the suffix, so
-x_k <= x_b * f(k-b+1).  Solving k therefore proceeds bottom-up along the
-ladder f(2), f(3), ...; only proven values are ever used as bounds.
+to positions b..k embeds into a standalone block of length r = k-b+1 whose
+unit dummy arcs stand for every arc entering the suffix.  So x_k = x_b P +
+sum w_a Q_a over the arcs a entering after b, with P + sum Q_a <= f(r).
+Each w_a is an open tail's count or the dummy's 1, at most c, the largest
+open count, and c <= x_b, so x_k <= c f(r) + (x_b - c) P.  P counts the
+paths from b with nothing else feeding in; embedding b+1..k the same way,
+b's own arc a unit dummy arc, gives P <= f(r-1), and P <= f(r-2) when b is
+incoming (it has no out-arc, so embed b+2..k), with f(1) = f(0) = 1.  Where
+the ladder lacks f(r-1) or f(r-2), P <= f(r) gives x_k <= x_b f(r).
+Solving k therefore proceeds bottom-up along the ladder f(2), f(3), ...;
+only proven values are ever used as bounds.
 ``solve_rung`` takes that ladder as an argument; ``solve_block`` builds it
 by solving every smaller block itself.
 
@@ -26,8 +33,9 @@ largest count first, the dummy source last, then outgoing.  The open tails
 are kept in non-decreasing count order for free (a tail carries the count
 at its source, and counts never fall along the path), so that order is the
 tail list read from the end, with no sort.  Since both bounds grow with the
-child's count, the first child the bound cuts cuts all its later siblings,
-and they are counted as nodes in one step (see ``_solve``).
+child's count (c is the parent's), the first child the bound cuts cuts all
+its later siblings, and they are counted as nodes in one step (see
+``_solve``).
 
 A partial placement is also cut when an earlier one beats it.  Its
 *structure* is the number of real open tails and, for each group of
@@ -44,17 +52,18 @@ has the proofs and the O(1) update of the structure.
 
 ``solve_rung`` starts the search from an aspiration incumbent.  When the
 ladder holds k-1, k-6 and k-7, it predicts p = f(k-1) f(k-6) / f(k-7) and
-sets the floor G = floor(0.95 p): the search starts at ``best_f = G``, so
-every bound cuts against G from the first node on, and only a leaf above G
-becomes the incumbent.  If a leaf above G is found, every cut was at a bound
+sets the floor G = floor(0.95 p) - 1 (at least 0): the search starts at
+``best_f = G``, so every bound cuts against G from the first node on, and
+only a leaf above G becomes the incumbent.  If a leaf above G is found, every cut was at a bound
 no higher than the incumbent at that moment, which never exceeds the final
 maximum, so the maximum is proven just as from ``best_f = 0``.  If the search
 completes with no leaf above G, that proves f <= G, so a leaf worth G is
 the maximum.  Only when every leaf is below G does ``solve_rung`` solve
 again once from floor 0 with a fresh dominance store (the stored states
 only cover what their subtrees found against G).  Over the stored table
-f / p >= 0.95 for every k >= 10, and the floor is never above f: it equals
-f at k = 9 and 10, so no stored row runs twice.
+the floor is below f at every k, so no stored row runs twice.  Without the
+- 1 it would equal f at k = 9 and 10, where the bound cuts every leaf worth
+exactly G, and those rows would run twice.
 
 Everything is deterministic: fixed child order, sequential search.
 """
@@ -82,7 +91,7 @@ class BlockSolution:
     proven_optimal: bool
     nodes_explored: int
     dominance_cuts: int  # states cut by a stored state of the same structure
-    ladder_cuts: int  # children cut by the ladder bound x * f(k - pos)
+    ladder_cuts: int  # children cut by the tail-aware ladder bound
     relaxation_cuts: int  # children cut by the relaxation bound
     floor: int  # the aspiration incumbent the first run started from
     runs: int  # 2 when every leaf was below the floor and the search ran again from 0
@@ -161,10 +170,10 @@ def recompute_counts(k: int, edges: tuple[Edge, ...]) -> int:
 
 
 def _aspiration_floor(k: int, ladder: Mapping[int, int]) -> int:
-    """floor(0.95 p) for the guess p = f(k-1) f(k-6) / f(k-7); 0 unless all are known."""
+    """floor(0.95 p) - 1, at least 0, for p = f(k-1) f(k-6) / f(k-7); 0 unless all are known."""
     if not all(r in ladder for r in (k - 1, k - 6, k - 7)):
         return 0
-    return 95 * ladder[k - 1] * ladder[k - 6] // (100 * ladder[k - 7])
+    return max(0, 95 * ladder[k - 1] * ladder[k - 6] // (100 * ladder[k - 7]) - 1)
 
 
 def _relaxation_bound(x: int, r: int, n_open: int) -> int:
@@ -230,13 +239,15 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
     last.  The tail placed at ``pos``, when present, is the last entry; it
     cannot close at ``pos + 1`` and is skipped without counting a node.
 
-    Both bounds, ``nx * f(k - pos)`` and the relaxation bound, never
-    decrease as the child's count ``nx`` grows, and ``best_f`` is fixed
-    while children are only cut.  So once one child's bound is at most
-    ``best_f``, every later sibling is cut too.  Each cut child still counts
-    as one node, so the loop adds all of them at once and the node count is
-    that of visiting them one by one; a budget spent on the way stops at
-    exactly ``budget + 1`` nodes, as a one-by-one walk would.
+    Both bounds, the ladder bound of the module docstring and the relaxation
+    bound, never decrease as the child's count ``nx`` grows (the ladder
+    bound's c is the parent's largest open count, ``opens[-1]``, the same for
+    every sibling), and ``best_f`` is fixed while children are only cut.
+    So once one child's bound is at most ``best_f``, every later sibling is
+    cut too.  Each cut child still counts as one node, so the loop adds all
+    of them at once and the node count is that of visiting them one by one;
+    a budget spent on the way stops at exactly ``budget + 1`` nodes, as a
+    one-by-one walk would.
 
     **Structure.**  Number the real open tails from the top; they split the
     interval starts 1..pos into groups, group 0 above the highest tail,
@@ -320,8 +331,15 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
     partner = [0] * (k + 1)
     partner[1] = INF  # vertex 1 is forced outgoing: its slots are path+path+out
     opens: list[tuple[int, int]] = [(0, 1), (1, 1)]
-    # ladder bound of the suffix after pos, None where the ladder has no rung
-    suffix_f = [ftable.get(k - pos) for pos in range(k)]
+    # ladder bound of the suffix after pos as (f(r-2), f(r) - f(r-2), f(r-1),
+    # f(r) - f(r-1)) for r = k - pos, with nx * f(r) where a shorter rung is
+    # missing; None where the ladder has no f(r)
+    fs = {**ftable, 0: 1, 1: 1}
+    suffix_f = []
+    for r in range(k, 0, -1):
+        fr = fs.get(r)
+        f1, f2 = fs.get(r - 1, fr), fs.get(r - 2, fr)
+        suffix_f.append(None if fr is None else (f2, fr - f2, f1, fr - f1))
     # without a budget: more nodes than the tree can have (at most k + 1
     # children per node, fewer than k levels), so the one test never fires
     limit = budget if budget is not None else (k + 2) ** k
@@ -380,6 +398,10 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
             return
 
         fb = suffix_f[pos]
+        if fb is not None:
+            fin, din, fout, dout = fb
+            c = opens[-1][1]  # the largest open count
+            cin, cout = c * din, c * dout
         # incoming children in decreasing count order, dummy last: opens read
         # from the end, skipping the tail placed at pos (it cannot close at nxt)
         idx = top - 1
@@ -388,7 +410,7 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
         while idx >= 0:
             p, v = opens[idx]
             nx = x + v
-            ub = nx * fb if fb is not None else _relaxation_bound(nx, k - nxt, top - 1)
+            ub = nx * fin + cin if fb is not None else _relaxation_bound(nx, k - nxt, top - 1)
             if ub <= best_f:
                 # every later sibling has a count and bound no larger: cut
                 # this child and all idx after it, one node each
@@ -422,7 +444,7 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
         nodes += 1
         if nodes > limit:
             raise _BudgetSpent
-        ub = x * fb if fb is not None else _relaxation_bound(x, k - nxt, top)
+        ub = x * fout + cout if fb is not None else _relaxation_bound(x, k - nxt, top)
         if ub > best_f:
             partner[nxt] = INF
             opens.append((nxt, x))
@@ -502,9 +524,9 @@ def solve_block(k: int, budget: int | None = None) -> BlockSolution:
     relaxation bound).  Results are memoized per ``(k, budget)``, so the
     smaller blocks are solved once per budget, whatever the call order.
     The memo stays because callers walk the ladder: solving k=2..22 in
-    ascending order in one process takes 57,628 nodes with it and 204,948
-    without it, since each call would re-solve every rung below k (0.14 s
-    against 0.45 s, medians of 9 runs, Python 3.11, 2 CPUs).
+    ascending order in one process takes 45,497 nodes with it and 162,251
+    without it, since each call would re-solve every rung below k (0.06 s
+    against 0.27 s, medians of 9 runs, Python 3.11, 2 CPUs).
     A budget too small for some rung raises ``BudgetTooSmallError`` naming k.
     """
     try:
@@ -564,8 +586,9 @@ def load_table(path) -> dict[int, dict]:
     2 and an ``assignment`` of [i, j] integer pairs, its witness
     passes ``check_assignment`` and reproduces the integer f, and g2 is f's.  A bad row
     raises ``ValueError`` naming k, a file that is not a JSON object keyed
-    by k one naming the file.  The 39 rows k=2..40 audit in about 0.1 s
-    (Python 3.11, 2 CPUs); solving them takes about 15 s.
+    by k one naming the file.  The 55 rows k=2..56 audit in about 0.25 s
+    (Python 3.11, 2 CPUs); solving rows k=2..40 takes about 10 s, and rows
+    k=41..56 about 4 min more.
     """
     with open(path) as fh:
         try:
@@ -623,7 +646,7 @@ def save_table(path, rows: Mapping[int, dict]) -> None:
     is created if missing.  The text goes to a temporary file beside
     ``path`` that then replaces it, so a write that fails part way leaves
     the old table whole and no temporary file.  From an empty table,
-    solving and saving row by row takes about 2 s to k=32 and 15 s to k=40
+    solving and saving row by row takes about 2 s to k=32 and 10 s to k=40
     (Python 3.11, 2 CPUs).
     """
     path = Path(path)
@@ -710,6 +733,10 @@ def assemble_bound(k_lo: int, k_hi: int, table: Mapping[int, Mapping]) -> Growth
     '10' kind pattern, which three-in-a-row exclusion guarantees within five
     extra steps.  The final block constant is the largest f below the
     window, known only when every size 2..k_lo-1 has a proven row.
+
+    The stored table's rows k=41..56 extend the paper, which stops at 40:
+    windows above 40 (51..56 gives 1.663151) rest on this block model, the
+    dominance proof and the six-wide window, not on the paper's table.
     """
     check_window(k_lo, k_hi)
     for k in range(k_lo, k_hi + 1):

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per numbered criterion, each printing a
 pass line (run with ``pytest -s`` to watch them stream).
 
-Criterion 10's full table over block sizes 35..40 solves in about half a
-minute, but runs only when CUBICPATHS_EXTENDED=1: it passes k=35..39 and
+Criterion 10's full table over block sizes 35..40 solves in about 10 s,
+but runs only when CUBICPATHS_EXTENDED=1: it passes k=35..39 and
 fails at k=40, where this block model gives f(40) = 28727 and the paper's
 table 28726.  Its mandatory fast subset (18..24) always runs.
 """
@@ -215,7 +215,7 @@ def test_criterion_10_block_fast_subset():
 
 @pytest.mark.skipif(
     not os.environ.get("CUBICPATHS_EXTENDED"),
-    reason="k=35..40 from scratch takes about 15 s, and this model's f(40) = 28727 "
+    reason="k=35..40 from scratch takes about 10 s, and this model's f(40) = 28727 "
     "is not the paper's 28726; set CUBICPATHS_EXTENDED=1 to run",
 )
 def test_criterion_10_block_table_extended():

@@ -136,8 +136,8 @@ def test_assemble_bound_window_guard(table):
         with pytest.raises(ValueError, match="blocks need k >= 2, not k=1"):
             assemble_bound(lo, lo + 5, rows)
     # a window size with no row is an error, not a solve
-    with pytest.raises(ValueError, match=r"^no block table row for k=41$"):
-        assemble_bound(36, 41, table)
+    with pytest.raises(ValueError, match=r"^no block table row for k=57$"):
+        assemble_bound(52, 57, table)
 
 
 def test_assemble_bound_small_range(table):
@@ -197,12 +197,13 @@ def test_budget_exhaustion_flags(table):
     assert not sol.proven_optimal
     assert check_assignment(10, sol.assignment) == []
     assert sol.f <= solve_block(10).f
-    # with the full ladder k=10's floor is f = 19; 200 of its 270 nodes stop
-    # the run before it ends, and the best leaf at or below 19 is reported
-    sol = solve_rung(10, {r: table[r]["f"] for r in range(2, 10)}, 200)
-    assert (sol.floor, sol.runs, sol.proven_optimal, sol.nodes_explored) == (19, 1, False, 201)
+    # with the full ladder k=10's floor is 18, one below f = 19, which the
+    # search first reaches at node 34; 30 of its 187 nodes stop the run
+    # before that, and the best leaf at or below the floor is reported
+    sol = solve_rung(10, {r: table[r]["f"] for r in range(2, 10)}, 30)
+    assert (sol.floor, sol.runs, sol.proven_optimal, sol.nodes_explored) == (18, 1, False, 31)
     assert check_assignment(10, sol.assignment) == []
-    assert recompute_counts(10, sol.assignment) == sol.f <= 19
+    assert recompute_counts(10, sol.assignment) == sol.f <= 18
 
 
 def _assert_cut_off_is_exact(k, ladder, needed, f):
@@ -248,18 +249,88 @@ def test_a_floor_above_f_runs_the_search_twice(table):
 
 
 def test_partial_ladders_match_the_oracle(oracle):
-    # sizes missing from the ladder fall back to the relaxation bound
+    # sizes missing from the ladder fall back to the relaxation bound, and
+    # f(r) without f(r-1) or f(r-2) to the child bound nx f(r): the last two
+    # ladders keep r = 2 mod 3 (neither) or drop it (one of them)
     rng = random.Random(9)
     for k in range(2, 15):
         proven = {r: oracle[r] for r in range(2, k)}
         ladders = [{}] + [
             {r: f for r, f in proven.items() if rng.random() < 0.5} for _ in range(4)
         ]
+        ladders += [{r: f for r, f in proven.items() if (r % 3 == 2) == keep} for keep in (1, 0)]
         for ladder in ladders:
             sol = solve_rung(k, ladder)
             assert (sol.f, sol.proven_optimal) == (oracle[k], True), (k, sorted(ladder))
             assert check_assignment(k, sol.assignment) == []
             assert recompute_counts(k, sol.assignment) == oracle[k]
+
+
+def _children_and_best(k: int) -> list[tuple[bool, int, int, int, int]]:
+    """(incoming, nx, c, r, best) for each child at a position below k of each feasible prefix.
+
+    A plain enumerator with ``brute_block``'s rules: vertex 1 is outgoing;
+    a later vertex is outgoing (but not vertex k), incoming from the dummy
+    source, or incoming from an open tail at least two back when that leaves
+    no interval ending at it with every partner inside.  nx is the child's
+    count, c the largest open count of the parent (the dummy's 1 included),
+    r = k - pos the length of the suffix from the child on, and ``best``
+    the largest x_k over the child's feasible completions; a child with
+    none is left out.
+    """
+    partner = [0] * (k + 1)
+    partner[1] = k + 2
+    found = []
+
+    def closes_an_interval(j: int) -> bool:
+        lo = hi = partner[j]
+        for i in range(j - 1, 0, -1):
+            lo, hi = min(lo, partner[i]), max(hi, partner[i])
+            if lo >= i and hi <= j:
+                return True
+        return False
+
+    def best(pos: int, x: int, opens: list[tuple[int, int]]) -> int:
+        if pos == k:
+            return x
+        nxt = pos + 1
+        children = []
+        if nxt < k:
+            partner[nxt] = k + 2
+            children.append((False, x, best(nxt, x, opens + [(nxt, x)])))
+        partner[nxt] = 0
+        children.append((True, x + 1, best(nxt, x + 1, opens)))
+        for i, (p, v) in enumerate(opens):
+            if p <= nxt - 2:
+                partner[nxt], partner[p] = p, nxt
+                if not closes_an_interval(nxt):
+                    children.append((True, x + v, best(nxt, x + v, opens[:i] + opens[i + 1 :])))
+                partner[p] = k + 2
+        partner[nxt] = 0
+        c = max([1] + [v for _, v in opens])
+        for incoming, nx, b in children:
+            if b >= 0 and nxt < k:
+                found.append((incoming, nx, c, k - pos, b))
+        return max(b for _, _, b in children)
+
+    best(1, 1, [(1, 1)])
+    return found
+
+
+def test_tail_aware_child_bound_is_admissible(table):
+    # every child's best completion is at most c f(r) + (nx - c) f(r - 2)
+    # when incoming and c f(r) + (nx - c) f(r - 1) when outgoing, with
+    # f(1) = f(0) = 1; children meet it exactly, also with 4 or more
+    # vertices left, where it is no mere count of the last arcs
+    f = {0: 1, 1: 1, **{k: row["f"] for k, row in table.items()}}
+    children = tight = 0
+    for k in range(3, 12):
+        for incoming, nx, c, r, best in _children_and_best(k):
+            bound = c * f[r] + (nx - c) * f[r - 2 if incoming else r - 1]
+            assert best <= bound, (k, incoming, nx, c, r, best)
+            tight += best == bound and r >= 4
+            children += 1
+    assert (children, tight) == (89_130, 75)
 
 
 def test_floor_contract(oracle):
@@ -283,28 +354,28 @@ def test_floor_contract(oracle):
 
 def test_incumbent_trail(oracle):
     # each leaf that raised the incumbent, (nodes so far, value), ending at f;
-    # k=10's floor is f itself, so no leaf raises it, and the trail is no
-    # part of the stored row
-    assert solve_block(14).incumbents == ((146, 47), (295, 48))
-    assert solve_block(10).incumbents == ()
+    # k=10's floor is one below f, so only the leaf worth f raises it, and
+    # the trail is no part of the stored row
+    assert solve_block(14).incumbents == ((119, 47), (237, 48))
+    assert solve_block(10).incumbents == ((34, 19),)
     assert "incumbents" not in table_row(solve_block(14))
     # a floor above f: the first run (5 nodes) finds nothing above it, and
     # the second run's trail counts those 5 nodes first
     ladder = {r: oracle[r] for r in range(2, 12)}
     ladder[11] *= 2
     sol = solve_rung(12, ladder)
-    assert (sol.f, sol.floor, sol.runs, sol.nodes_explored) == (31, 61, 2, 621)
-    first_run = _solve(12, None, ladder, 61)
+    assert (sol.f, sol.floor, sol.runs, sol.nodes_explored) == (31, 60, 2, 498)
+    first_run = _solve(12, None, ladder, 60)
     assert (first_run[2], first_run[5]) == (5, ())
     second_run = _solve(12, None, ladder)
     assert sol.incumbents == tuple((5 + m, value) for m, value in second_run[5])
-    assert sol.incumbents[-1] == (249, 31)
+    assert sol.incumbents[-1] == (208, 31)
 
 
 def test_ladder_without_rung_k_minus_7_keeps_floor_0(table):
     # without f(k-7) there is no guess: one run from 0, with the node counts
-    # of the search before the floor existed
-    before = {9: 153, 12: 736, 16: 2_989, 20: 12_229, 22: 22_439}
+    # of a search that has no floor
+    before = {9: 133, 12: 564, 16: 2_382, 20: 9_944, 22: 18_214}
     for k, nodes in before.items():
         ladder = {r: table[r]["f"] for r in range(2, k) if r != k - 7}
         sol = solve_rung(k, ladder)
@@ -367,8 +438,8 @@ def _visited_states(k: int, ladder: dict[int, int]) -> list[tuple]:
 
 
 def _ladders(table, rng):
-    """For each k = 3..12: no ladder, the full one and three random parts of it."""
-    for k in range(3, 13):
+    """For each k = 3..13: no ladder, the full one and three random parts of it."""
+    for k in range(3, 14):
         proven = {r: table[r]["f"] for r in range(2, k)}
         yield k, [{}, proven] + [
             {r: f for r, f in proven.items() if rng.random() < 0.5} for _ in range(3)
@@ -493,8 +564,8 @@ def test_solve_block_does_not_depend_on_call_history():
         "sol = solve_block(18, budget=130_000)\n"
         "print(sol.f, sol.proven_optimal, sol.nodes_explored)\n"
     )
-    assert fresh.split() == ["137", "True", "4312"]
-    assert (sol.f, sol.proven_optimal, sol.nodes_explored) == (137, True, 4_312)
+    assert fresh.split() == ["137", "True", "3405"]
+    assert (sol.f, sol.proven_optimal, sol.nodes_explored) == (137, True, 3_405)
 
 
 def test_assemble_bound_never_solves(table, monkeypatch):
@@ -538,7 +609,7 @@ def test_ladder_solves_each_size_once_and_matches_the_table(table):
         k, f, nodes, proven = line.split()
         solved[int(k)] = (int(f), int(nodes), proven == "True")
     assert solved == {k: (table[k]["f"], table[k]["nodes"], True) for k in range(2, 23)}
-    assert sum(nodes for _, nodes, _ in solved.values()) == 57_628
+    assert sum(nodes for _, nodes, _ in solved.values()) == 45_497
     # the same search from the stored ladder gives the stored row: every
     # count, the floor, the runs and the witness
     for k in range(2, 23):

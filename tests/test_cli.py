@@ -339,22 +339,22 @@ def test_block_json_reports_the_incumbent_trail(capsys):
     # searched, so it lists none
     assert main(["--format", "json", "block", "--k", "14"]) == 0
     provenance = json.loads(capsys.readouterr().out)["provenance"]
-    assert provenance["incumbents"] == [[146, 47], [295, 48]]
+    assert provenance["incumbents"] == [[119, 47], [237, 48]]
     assert main(["--format", "json", "block", "--k", "14", "--table", str(TABLE)]) == 0
     assert json.loads(capsys.readouterr().out)["provenance"]["incumbents"] == []
 
 
 @pytest.mark.parametrize(
-    "budget, stop, proven", ((None, "complete", True), (200, "budget", False))
+    "budget, stop, proven", ((None, "complete", True), (150, "budget", False))
 )
 def test_block_json_reports_floor_runs_and_provenance(budget, stop, proven, capsys):
-    # k=10's floor, 19, is f itself: a leaf worth the floor proves f in one
-    # run; 200 nodes prove k=9 (132) but stop k=10 (270)
+    # k=10's floor, 18, is one below f: the leaf worth f beats it and
+    # proves f in one run; 150 nodes prove k=9 (99) but stop k=10 (187)
     flags = [] if budget is None else ["--budget", str(budget)]
     assert main(["--format", "json", *flags, "block", "--k", "10"]) == 0
     report = json.loads(capsys.readouterr().out)
     outputs, provenance = report["outputs"], report["provenance"]
-    assert (outputs["floor"], outputs["proven"]) == (19, proven)
+    assert (outputs["floor"], outputs["proven"]) == (18, proven)
     assert outputs["runs"] == 1
     assert (provenance["budget"], provenance["stop"]) == (budget, stop)
     assert provenance["seconds"] >= 0
