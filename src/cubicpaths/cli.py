@@ -6,7 +6,9 @@ apart from the wall seconds that ``search``, ``block`` and ``bound`` report,
 with how they stopped (``complete`` or ``budget``), in their provenance.
 ``search`` and ``block`` also list there each raise of the incumbent as
 [nodes so far, new value] under ``incumbents``; ``block`` lists none for a
-row it read from the table.
+row it read from the table.  ``search`` lists only raises above its seed,
+the closed family member it starts from, which it reports under ``seed``
+(family, tuple and total, or null).
 Exit status: 0 success, 1 validation or parse error, 2 incomplete result
 under --strict.
 
@@ -217,6 +219,7 @@ def cmd_search(args) -> int:
     if not report.complete:
         lines.append("warning: search incomplete (budget exhausted)")
     spec = report.spec
+    seed = report.seed
     doc = fileio.make_report(
         "search",
         {
@@ -234,7 +237,13 @@ def cmd_search(args) -> int:
             "budget": args.budget,
             "stop": "complete" if report.complete else "budget",
             "seconds": seconds,
-            # each raise of the maximum: [nodes so far, new maximum]
+            # the closed family member the incumbent starts at, if any
+            "seed": None if seed is None else {
+                "family": seed.family,
+                "tuple": ",".join(map(str, seed.values)),
+                "total": seed.total,
+            },
+            # each raise of the maximum above the seed: [nodes so far, new maximum]
             "incumbents": [list(step) for step in report.incumbent_trail],
         },
     )

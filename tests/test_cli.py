@@ -207,9 +207,18 @@ def test_search_fibonacci(capsys):
     assert [outputs[key] for key in cuts] == [getattr(r, key) for key in cuts]
     assert r.dead_prefix_cuts > 0 and r.bound_cuts > 0 and r.simple_cuts == r.run_cuts == 0
     assert r.dominance_cuts > 0
-    # each raise of the maximum as [nodes so far, new maximum], ending at 22
-    assert doc["provenance"]["incumbents"] == [[14, 19], [18, 20], [33, 22]]
-    assert r.incumbent_trail == ((14, 19), (18, 20), (33, 22))
+    # the wedge seeds the maximum 22, so no raise above it is recorded
+    assert doc["provenance"]["seed"] == {"family": "wedge", "tuple": "7,3,4,5,6,7,7", "total": 22}
+    assert doc["provenance"]["incumbents"] == []
+    assert r.incumbent_trail == ()
+
+
+def test_search_reports_no_seed_and_each_raise_on_a_boundary_spec(capsys):
+    # each raise of the maximum as [nodes so far, new maximum]
+    assert main(["--format", "json", "search", "--n", "6"]) == 0
+    provenance = json.loads(capsys.readouterr().out)["provenance"]
+    assert provenance["seed"] is None
+    assert provenance["incumbents"] == [[7, 64]]
 
 
 def test_search_check_reports_the_searched_spec(capsys):

@@ -29,10 +29,12 @@ from cubicpaths.search import (
     PRUNE_KIND_RUN,
     Budget,
     BudgetExceeded,
+    Seed,
     _double_label_prunable_for,
+    _family_seed,
     conjecture_spec,
 )
-from cubicpaths.tuples import closed_interval, is_canonical
+from cubicpaths.tuples import closed_interval, is_canonical, is_simple_tuple, validity_issues
 
 
 def test_fibonacci_basis():
@@ -260,13 +262,13 @@ def test_incremental_bound_matches_the_plain_recurrence(klass, conn, monkeypatch
     [
         ("fibonacci", 3, frozenset(), (9, 7, 0, 0, 1, 0)),
         ("fibonacci", 4, frozenset(), (20, 19, 0, 0, 6, 0)),
-        ("fibonacci", 5, frozenset(), (45, 42, 0, 0, 35, 3)),
-        ("fibonacci", 6, frozenset(), (106, 94, 0, 0, 137, 20)),
-        ("fibonacci", 7, frozenset(), (295, 257, 0, 0, 483, 134)),
-        ("fibonacci", 8, frozenset(), (827, 625, 0, 0, 1836, 512)),
-        ("fibonacci", 9, frozenset(), (2415, 1652, 0, 0, 6250, 2120)),
-        ("simple-2ec", 7, ALL_PRUNES, (304, 38, 144, 168, 297, 105)),
-        ("fibonacci", 9, frozenset({PRUNE_KIND_RUN}), (1676, 1264, 0, 1618, 2647, 609)),
+        ("fibonacci", 5, frozenset(), (40, 38, 0, 0, 36, 3)),
+        ("fibonacci", 6, frozenset(), (87, 76, 0, 0, 138, 20)),
+        ("fibonacci", 7, frozenset(), (245, 214, 0, 0, 474, 132)),
+        ("fibonacci", 8, frozenset(), (728, 538, 0, 0, 1769, 496)),
+        ("fibonacci", 9, frozenset(), (2138, 1446, 0, 0, 5940, 1982)),
+        ("simple-2ec", 7, ALL_PRUNES, (282, 34, 138, 161, 306, 90)),
+        ("fibonacci", 9, frozenset({PRUNE_KIND_RUN}), (1398, 1064, 0, 1489, 2408, 523)),
     ],
 )
 def test_walk_counters_are_pinned(name, n, prunes, counters):
@@ -396,6 +398,93 @@ def test_merged_walk_matches_brute_oracle_at_length_8(conn):
         ), spec
 
 
+def _every_small_spec():
+    """Every spec of length <= 8: both classes, connectivity 1-3, simple or not, each prune subset."""
+    for length in range(1, 9):
+        for klass in (TupleClass.BOUNDARY, TupleClass.MERGED):
+            for conn in (1, 2, 3):
+                for simple in (False, True):
+                    for prunes in PRUNE_SUBSETS:
+                        yield SearchSpec(length, klass, conn, simple, prunes)
+
+
+def test_seed_keeps_the_maximum_and_every_witness(monkeypatch):
+    # the same maximum and witness list with and without the seed, never
+    # more nodes with it, and fewer in all
+    specs = list(_every_small_spec())
+    seeded = [find_extremal(spec) for spec in specs]
+    monkeypatch.setattr(search, "_family_seed", lambda spec: None)
+    saved = 0
+    for spec, with_seed in zip(specs, seeded):
+        without = find_extremal(spec)
+        assert with_seed.complete and without.complete, spec
+        assert without.seed is None
+        assert (with_seed.max_total, with_seed.witnesses) == (without.max_total, without.witnesses), spec
+        assert with_seed.nodes <= without.nodes, spec
+        saved += without.nodes - with_seed.nodes
+    assert saved > 0
+    assert sum(r.seed is not None for r in seeded) > 0
+
+
+def test_seed_passes_the_walks_leaf_tests():
+    # each seed is a canonical in-class tuple the walk keeps, worth its total
+    for spec in _every_small_spec():
+        seed = _family_seed(spec)
+        if seed is None:
+            continue
+        t = ArcTuple(seed.values, spec.klass)
+        assert len(t) == spec.n and is_canonical(t)
+        assert not validity_issues(t, spec.connectivity), spec
+        assert not spec.simple_only or is_simple_tuple(t)
+        assert _kept_by_prunes(t, spec)
+        assert seed.total == tuple_mu(t).total
+        assert family_tuple(seed.family, spec.n - 1).values == seed.values
+
+
+def test_no_seed_for_boundary_specs():
+    for spec in _every_small_spec():
+        if spec.klass is TupleClass.BOUNDARY:
+            assert _family_seed(spec) is None
+            assert find_extremal(spec).seed is None
+
+
+def test_a_member_with_a_kind_run_never_seeds_a_kind_run_search():
+    for n in range(5, 16, 2):
+        assert kind_run_prunable(family_tuple("simple-conn", n))
+        for prunes in (frozenset({PRUNE_KIND_RUN}), ALL_PRUNES):
+            seed = _family_seed(conjecture_spec("simple-conn", n, prunes))
+            assert seed is None or seed.family != "simple-conn", (n, prunes)
+    assert _family_seed(conjecture_spec("simple-conn", 5)).family == "simple-conn"
+
+
+def test_a_member_that_is_not_simple_never_seeds_a_simple_search():
+    for n in range(1, 14):
+        assert not is_simple_tuple(family_tuple("2ec", n))
+        assert _family_seed(conjecture_spec("2ec", n)).family == "2ec"
+        for conn in (1, 2, 3):
+            seed = _family_seed(SearchSpec(n + 1, TupleClass.MERGED, conn, simple_only=True))
+            assert seed is None or seed.family != "2ec", (n, conn)
+    assert _family_seed(conjecture_spec("simple-2ec", 7)).family == "simple-2ec-odd"
+
+
+def test_budget_stop_before_the_seed_reports_the_seed():
+    r = check_conjecture("fibonacci", 7, budget_limit=1)
+    assert not r.complete
+    assert r.seed == Seed("wedge", family_tuple("wedge", 7).values, 35)
+    assert r.max_total == 35 and r.witnesses == (r.seed.values,)
+    assert r.incumbent_trail == ()
+    assert r.closed_form.equal is None and not r.closed_form.exceeded
+
+
+def test_a_complete_walk_below_its_seed_raises(monkeypatch):
+    # a planted seed above the maximum: the walk yields nothing worth it
+    spec = conjecture_spec("fibonacci", 6)
+    planted = Seed("planted", family_tuple("wedge", 6).values, 23)
+    monkeypatch.setattr(search, "_family_seed", lambda spec: planted)
+    with pytest.raises(RuntimeError, match="yielded nothing worth the seed"):
+        find_extremal(spec)
+
+
 def test_incomplete_check_leaves_equality_open():
     full = check_conjecture("fibonacci", 7)
     assert full.complete and full.closed_form.equal
@@ -490,11 +579,41 @@ def test_family_tuples(name, n, total):
         assert edge_connectivity_at_least(g, 2)
 
 
+@pytest.mark.parametrize(
+    "name,row,ns,total",
+    [
+        ("simple-conn-odd", "simple-conn", range(7, 40, 2), lambda n: 49 * 3 ** ((n - 7) // 2)),
+        ("simple-conn-even", "simple-conn", range(6, 41, 2), lambda n: 28 * 3 ** ((n - 6) // 2)),
+        ("simple-2ec-odd", "simple-2ec", range(5, 42, 2), lambda n: 5 * 3 ** ((n - 3) // 2) + 1),
+    ],
+)
+def test_simple_row_families(name, row, ns, total):
+    # the families that attain the simple rows' exhaustive maxima: each
+    # total matches its formula, each member lies in its row's class, and
+    # to n = 12 it is among the search's witnesses
+    conn = conjecture_spec(row, 1).connectivity
+    for n in ns:
+        t = family_tuple(name, n)
+        assert len(t) == n + 1 and tuple_mu(t).total == total(n), n
+        assert not validity_issues(t, conn) and is_simple_tuple(t), n
+        if n <= 12:
+            r = check_conjecture(row, n)
+            assert r.complete and r.max_total == total(n), n
+            assert t.values in r.witnesses, n
+    g = decode(family_tuple(name, ns[0]))
+    assert is_simple(g) and count_paths(g).total == total(ns[0])
+    assert edge_connectivity_at_least(g, conn)
+
+
 def test_family_range_errors():
     with pytest.raises(ValueError):
         family_tuple("wedge", 1)
     with pytest.raises(ValueError):
         family_tuple("simple-conn", 6)
+    with pytest.raises(ValueError, match="the simple-conn-even family needs even n >= 6, not n=7"):
+        family_tuple("simple-conn-even", 7)
+    with pytest.raises(ValueError):
+        family_tuple("simple-2ec-odd", 3)
     with pytest.raises(ValueError):
         family_tuple("nope", 5)
 
