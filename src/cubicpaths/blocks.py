@@ -13,16 +13,60 @@ Both hold a placement in one ``partner`` array: vertex c is incoming iff
 ``partner[c] < c`` (a source before it), outgoing otherwise (its target, or
 k+2 for the dummy sink).
 
-The admissible upper bound used for pruning: a completed solution restricted
-to positions b..k embeds into a standalone block of length r = k-b+1 whose
-unit dummy arcs stand for every arc entering the suffix.  So x_k = x_b P +
-sum w_a Q_a over the arcs a entering after b, with P + sum Q_a <= f(r).
-Each w_a is an open tail's count or the dummy's 1, at most c, the largest
-open count, and c <= x_b, so x_k <= c f(r) + (x_b - c) P.  P counts the
-paths from b with nothing else feeding in; embedding b+1..k the same way,
-b's own arc a unit dummy arc, gives P <= f(r-1), and P <= f(r-2) when b is
-incoming (it has no out-arc, so embed b+2..k), with f(1) = f(0) = 1.  Where
-the ladder lacks f(r-1) or f(r-2), P <= f(r) gives x_k <= x_b f(r).
+The admissible upper bounds used for pruning rest on one embedding: a
+completed solution restricted to positions b..k is a feasible block of
+length r = k-b+1 whose unit dummy arcs stand for every arc entering the
+suffix.  When b is incoming, its own arc, which comes from before b, becomes
+an arc from the block's vertex 1 to the dummy sink: it crosses the same
+intervals [b, j], feeds no count into the suffix, and leaves vertex 1
+outgoing, as the model has it.  So x_k = x_b P + sum w_a Q_a over the arcs
+a entering after b, with P + sum Q_a <= f(r), where P counts the paths from
+b with nothing else feeding in.  f is increasing: a vertex appended to a
+block and fed from the dummy source keeps it feasible and adds 1.
+
+*Path caps.*  Let j head a suffix of length s, j outgoing, and j' = j+t be
+the next outgoing vertex.  With t = 1, embedding j+1..k, j's arc a unit
+dummy arc, gives P(j) <= f(s-1).  With t >= 2 the vertices between are
+incoming, and j+1 cannot take j's arc (it would double the path edge).  If
+j's arc lands after j' or at the sink, P(j) = P(j') + Q <= f(s-t) (embed
+j'..k); if it lands between, t >= 3 and P(j) = 2 P(j'); with no outgoing
+vertex after j, P(j) <= 2, and 1 when s = 2.  So by induction, f being
+increasing, p(s) = max(f(s-1), 2 p(s-3)) for s >= 3, with p(0) = p(1) =
+p(2) = 1, caps P(j) for every suffix of length at most s.  Where the ladder
+lacks f(s-1) or p(s-3), p(s) = f(s) does (embed j..k).  These embeddings
+all start at an outgoing vertex.  On the stored table p(s) = f(s-1) at
+every s; the tightest is f(31) = 1.0196 * 2 f(28).  An incoming b passes
+its paths on to the next outgoing vertex, so P <= p(r-1) for it, and P <=
+p(r) for an outgoing b.
+
+*Tail-aware bound.*  Each w_a is an open tail's count or the dummy's 1, at
+most c, the largest open count, and c <= x_b, so x_k <= c f(r) + (x_b - c)
+P with P <= p(r-1) or p(r) as above.  Where the ladder lacks p(r-1), P <=
+f(r) gives x_k <= x_b f(r) for an incoming b.
+
+*Lookahead bound.*  Let j = b+t be the first outgoing vertex after b and s
+= r-t.  The vertices b+1..j-1 are incoming, each from an arc of weight at
+most c, or, when b is outgoing, one of them (never b+1) from b itself.
+Embedding j..k as above gives x_k <= c f(s) + (x_j - c) p(s), and with n
+the child's count:
+
+* incoming b: x_j <= n + (t-1)c, so x_k <= (n + (t-2)c) p(s) + c f(s) for
+  t = 1..r-2, and x_k <= n + (r-1)c when no outgoing vertex follows;
+* outgoing b whose arc lands after j or at the sink: x_j <= n + (t-1)c and
+  b's arc enters after j with weight n, so x_k <= n f(s) + (t-1)c p(s);
+* outgoing b whose arc lands on b+2..j-1 (t >= 3): x_j <= 2n + (t-2)c, so
+  x_k <= (2n + (t-3)c) p(s) + c f(s);
+* outgoing b with no outgoing vertex after it: x_k <= max(2n + (r-2)c,
+  n + (r-1)c), or n + c when r = 2 (b+1 = k cannot take b's arc).
+
+t is not known, so the lookahead bound is the largest case, and the child's
+bound is the smaller of it and the tail-aware bound.  Each case is
+a (n - c) + g c with a >= 0 and (a, g) fixed by r and the ladder.  Since
+n >= c, a case no larger than another in both a and g is never the largest,
+so ``_lookahead`` keeps per r only the others, sorted once.  The lookahead
+bound needs f(2..r-1); where the ladder lacks one, the tail-aware bound
+stands alone, and where it lacks f(r), the relaxation bound of
+``_relaxation_bound`` replaces both.
 Solving k therefore proceeds bottom-up along the ladder f(2), f(3), ...;
 only proven values are ever used as bounds.
 ``solve_rung`` takes that ladder as an argument; ``solve_block`` builds it
@@ -32,9 +76,9 @@ The children of a vertex are tried incoming from the open tail with the
 largest count first, the dummy source last, then outgoing.  The open tails
 are kept in non-decreasing count order for free (a tail carries the count
 at its source, and counts never fall along the path), so that order is the
-tail list read from the end, with no sort.  Since both bounds grow with the
-child's count (c is the parent's), the first child the bound cuts cuts all
-its later siblings, and they are counted as nodes in one step (see
+tail list read from the end, with no sort.  Since every bound grows with
+the child's count (c is the parent's), the first child the bounds cut cuts
+all its later siblings, and they are counted as nodes in one step (see
 ``_solve``).
 
 A partial placement is also cut when an earlier one beats it.  Its
@@ -91,8 +135,10 @@ class BlockSolution:
     proven_optimal: bool
     nodes_explored: int
     dominance_cuts: int  # states cut by a stored state of the same structure
-    ladder_cuts: int  # children cut by the tail-aware ladder bound
+    ladder_cuts: int  # children cut by the ladder bounds, tail-aware or lookahead
     relaxation_cuts: int  # children cut by the relaxation bound
+    # of the ladder cuts, those the tail-aware bound alone did not make; not stored
+    lookahead_cuts: int
     floor: int  # the aspiration incumbent the first run started from
     runs: int  # 2 when every leaf was below the floor and the search ran again from 0
     # each leaf that raised the incumbent: (nodes so far, its value); not stored
@@ -129,7 +175,11 @@ def reported_g2(f: int, k: int) -> float:
 
 
 def check_assignment(k: int, edges: tuple[Edge, ...]) -> list[str]:
-    """Re-evaluate every block constraint from scratch; [] means feasible."""
+    """Re-evaluate every block constraint from scratch; [] means feasible.
+
+    The interval rule takes one incremental sweep per interval start, so
+    O(k^2) for the O(k) edges of a block.
+    """
     out = []
     es = set(edges)
     if len(es) != len(edges):
@@ -149,13 +199,22 @@ def check_assignment(k: int, edges: tuple[Edge, ...]) -> list[str]:
     for v in range(1, k + 1):
         if deg[v] != 3:
             out.append(f"vertex {v} has degree {deg[v]}, expected 3")
+    # the other end of each edge at each real vertex; a self-loop never crosses
+    ends: list[list[int]] = [[] for _ in range(k + 1)]
+    for u, v in edges:
+        if u != v:
+            if 1 <= u <= k:
+                ends[u].append(v)
+            if 1 <= v <= k:
+                ends[v].append(u)
     for i in range(1, k):
-        for j in range(i + 1, k + 1):
-            crossing = 0
-            for u, v in edges:
-                if (i <= u <= j) != (i <= v <= j):
-                    crossing += 1
-            if crossing < 3:
+        # the edges crossing [i, j], grown one vertex j at a time: an edge at
+        # j stops crossing when its other end is already inside, else starts
+        crossing = 0
+        for j in range(i, k + 1):
+            for o in ends[j]:
+                crossing += -1 if i <= o < j else 1
+            if j > i and crossing < 3:
                 out.append(f"interval [{i}, {j}] crossed by only {crossing} edges")
     return out
 
@@ -185,6 +244,48 @@ def _relaxation_bound(x: int, r: int, n_open: int) -> int:
     return (x + r) * (1 << ((r + min(n_open, r)) // 2))
 
 
+def _path_caps(ladder: Mapping[int, int], n: int) -> list[int | None]:
+    """p(s) for s < n: caps on the paths from an outgoing vertex heading s vertices.
+
+    p(0) = p(1) = p(2) = 1 and p(s) = max(f(s-1), 2 p(s-3)); where the
+    ladder lacks f(s-1) or p(s-3) is None, p(s) = f(s), or None without it.
+    The module docstring proves that p(s) caps every suffix of length <= s.
+    """
+    caps: list[int | None] = [1, 1, 1]
+    for s in range(3, n):
+        f1, p3 = ladder.get(s - 1), caps[s - 3]
+        caps.append(max(f1, 2 * p3) if f1 is not None and p3 is not None else ladder.get(s))
+    return caps
+
+
+def _front(pairs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The pairs (a, g) no other pair is at least in both, a descending."""
+    front, top = [], 0
+    for a, g in sorted(pairs, reverse=True):
+        if g > top:
+            front.append((a, g))
+            top = g
+    return tuple(front)
+
+
+def _lookahead(r: int, ladder: Mapping[int, int], caps: list[int | None]):
+    """(incoming, outgoing) lookahead pairs of a child heading a suffix of length r.
+
+    A pair (a, g) bounds x_k by a (n - c) + g c for the child's count n and
+    the parent's largest open count c; the child's bound is the largest of
+    its pairs.  Each list is ``_front``'s.  Needs f(2..r-1) in ``ladder``.
+    """
+    incoming = [(1, r)]  # no outgoing vertex follows
+    outgoing = [(2 if r > 2 else 1, r)]
+    for t in range(1, r - 1):  # the next outgoing vertex t after the child
+        s = r - t
+        p, f = caps[s], ladder[s]
+        g = f + (t - 1) * p  # the same for each case at this t
+        incoming.append((p, g))
+        outgoing.append((max(f, 2 * p) if t >= 3 else f, g))
+    return _front(incoming), _front(outgoing)
+
+
 def _placement_arcs(k: int, partner: list[int]) -> tuple[Edge, ...]:
     """Every unit arc of a full placement: path edges plus each extra arc.
 
@@ -210,8 +311,10 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
     """Branch-and-bound core.  Returns (f, arcs, nodes, completed, cuts, trail).
 
     ``f`` and ``arcs`` are the best leaf evaluated, (0, None) when none was.
-    ``cuts`` is (dominance, ladder, relaxation): states cut by dominance,
-    and children cut by each bound, each cut child counted as its node is.
+    ``cuts`` is (dominance, ladder, relaxation, lookahead): states cut by
+    dominance, and children cut by each bound, each cut child counted as its
+    node is.  The lookahead cuts are the ladder cuts made where the
+    tail-aware bound did not cut, the siblings cut with them included.
     ``trail`` lists (nodes so far, value) for each leaf that raised
     ``best_f``.
 
@@ -239,14 +342,17 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
     last.  The tail placed at ``pos``, when present, is the last entry; it
     cannot close at ``pos + 1`` and is skipped without counting a node.
 
-    Both bounds, the ladder bound of the module docstring and the relaxation
-    bound, never decrease as the child's count ``nx`` grows (the ladder
-    bound's c is the parent's largest open count, ``opens[-1]``, the same for
-    every sibling), and ``best_f`` is fixed while children are only cut.
-    So once one child's bound is at most ``best_f``, every later sibling is
-    cut too.  Each cut child still counts as one node, so the loop adds all
-    of them at once and the node count is that of visiting them one by one;
-    a budget spent on the way stops at exactly ``budget + 1`` nodes, as a
+    Every bound of the module docstring, the tail-aware and lookahead
+    ladder bounds and the relaxation bound, never decreases as the child's
+    count ``nx`` grows (the ladder bounds' c is the parent's largest open
+    count, ``opens[-1]``, the same for every sibling, and each pair's a is
+    at least 0), and ``best_f`` is fixed while children are only cut.  So
+    once one child's bound is at most ``best_f``, every later sibling is
+    cut too.  A child is tested against the tail-aware bound first, then
+    against its lookahead pairs, stopping at the first above ``best_f``.
+    Each cut child still counts as one node, so the loop adds all of them
+    at once and the node count is that of visiting them one by one; a
+    budget spent on the way stops at exactly ``budget + 1`` nodes, as a
     one-by-one walk would.
 
     **Structure.**  Number the real open tails from the top; they split the
@@ -331,15 +437,21 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
     partner = [0] * (k + 1)
     partner[1] = INF  # vertex 1 is forced outgoing: its slots are path+path+out
     opens: list[tuple[int, int]] = [(0, 1), (1, 1)]
-    # ladder bound of the suffix after pos as (f(r-2), f(r) - f(r-2), f(r-1),
-    # f(r) - f(r-1)) for r = k - pos, with nx * f(r) where a shorter rung is
-    # missing; None where the ladder has no f(r)
+    # the bounds of a child at pos + 1, by r = k - pos: the tail-aware bound
+    # as (p(r-1), f(r) - p(r-1), p(r), f(r) - p(r)), with p(r-1) = f(r) where
+    # the ladder lacks it, then the incoming and outgoing lookahead pairs,
+    # None unless the ladder holds f(2..r-1); None where it has no f(r)
     fs = {**ftable, 0: 1, 1: 1}
-    suffix_f = []
-    for r in range(k, 0, -1):
+    caps = _path_caps(fs, k)
+    suffix_f: list[tuple | None] = [None] * k
+    below = True  # the ladder holds f(2..r-1)
+    for r in range(2, k):
         fr = fs.get(r)
-        f1, f2 = fs.get(r - 1, fr), fs.get(r - 2, fr)
-        suffix_f.append(None if fr is None else (f2, fr - f2, f1, fr - f1))
+        if fr is not None:
+            pin, pout = caps[r - 1] or fr, caps[r]
+            look = _lookahead(r, fs, caps) if below else (None, None)
+            suffix_f[k - r] = (pin, fr - pin, pout, fr - pout, *look)
+        below = below and fr is not None
     # without a budget: more nodes than the tree can have (at most k + 1
     # children per node, fewer than k levels), so the one test never fires
     limit = budget if budget is not None else (k + 2) ** k
@@ -347,7 +459,7 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
     best_f = floor
     leaf_f = 0
     leaf_arcs: tuple[Edge, ...] | None = None
-    nodes = dominance_cuts = ladder_cuts = relaxation_cuts = 0
+    nodes = dominance_cuts = ladder_cuts = relaxation_cuts = lookahead_cuts = 0
     trail: list[tuple[int, int]] = []
     W = k
     guards = [0]  # guards[n]: the top bits of n fields
@@ -358,7 +470,8 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
     stored: dict[int, list[int]] = {}
 
     def rec(pos: int, x: int, mask: int, tails: int) -> None:
-        nonlocal best_f, leaf_f, leaf_arcs, nodes, dominance_cuts, ladder_cuts, relaxation_cuts
+        nonlocal best_f, leaf_f, leaf_arcs, nodes
+        nonlocal dominance_cuts, ladder_cuts, relaxation_cuts, lookahead_cuts
         top = len(opens)
         if pos >= 2:
             # dominance: cut this state if a finished one of its structure
@@ -399,9 +512,11 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
 
         fb = suffix_f[pos]
         if fb is not None:
-            fin, din, fout, dout = fb
+            fin, din, fout, dout, look_in, look_out = fb
             c = opens[-1][1]  # the largest open count
             cin, cout = c * din, c * dout
+        else:
+            look_in = look_out = None
         # incoming children in decreasing count order, dummy last: opens read
         # from the end, skipping the tail placed at pos (it cannot close at nxt)
         idx = top - 1
@@ -411,13 +526,23 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
             p, v = opens[idx]
             nx = x + v
             ub = nx * fin + cin if fb is not None else _relaxation_bound(nx, k - nxt, top - 1)
-            if ub <= best_f:
-                # every later sibling has a count and bound no larger: cut
+            ahead = False  # cut by the lookahead pairs alone
+            if ub > best_f and look_in is not None:
+                d = nx - c
+                for a, g in look_in:
+                    if a * d + g * c > best_f:
+                        break
+                else:
+                    ahead = True
+            if ub <= best_f or ahead:
+                # every later sibling has a count and bounds no larger: cut
                 # this child and all idx after it, one node each
                 cut = min(idx + 1, limit - nodes + 1)
                 nodes += cut
                 if fb is not None:
                     ladder_cuts += cut
+                    if ahead:
+                        lookahead_cuts += cut
                 else:
                     relaxation_cuts += cut
                 if nodes > limit:
@@ -445,7 +570,15 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
         if nodes > limit:
             raise _BudgetSpent
         ub = x * fout + cout if fb is not None else _relaxation_bound(x, k - nxt, top)
-        if ub > best_f:
+        ahead = False
+        if ub > best_f and look_out is not None:
+            d = x - c
+            for a, g in look_out:
+                if a * d + g * c > best_f:
+                    break
+            else:
+                ahead = True
+        if ub > best_f and not ahead:
             partner[nxt] = INF
             opens.append((nxt, x))
             # a new tail at nxt leaves the top group empty; the start nxt
@@ -454,6 +587,7 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
             opens.pop()
         elif fb is not None:
             ladder_cuts += 1
+            lookahead_cuts += ahead
         else:
             relaxation_cuts += 1
 
@@ -462,7 +596,7 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
         completed = True
     except _BudgetSpent:
         completed = False
-    cuts = (dominance_cuts, ladder_cuts, relaxation_cuts)
+    cuts = (dominance_cuts, ladder_cuts, relaxation_cuts, lookahead_cuts)
     return leaf_f, leaf_arcs, nodes, completed, cuts, tuple(trail)
 
 
@@ -524,9 +658,9 @@ def solve_block(k: int, budget: int | None = None) -> BlockSolution:
     relaxation bound).  Results are memoized per ``(k, budget)``, so the
     smaller blocks are solved once per budget, whatever the call order.
     The memo stays because callers walk the ladder: solving k=2..22 in
-    ascending order in one process takes 45,497 nodes with it and 162,251
+    ascending order in one process takes 37,837 nodes with it and 135,821
     without it, since each call would re-solve every rung below k (0.06 s
-    against 0.27 s, medians of 9 runs, Python 3.11, 2 CPUs).
+    against 0.25 s, medians of 5 runs, Python 3.11, 2 CPUs).
     A budget too small for some rung raises ``BudgetTooSmallError`` naming k.
     """
     try:
@@ -550,7 +684,7 @@ def _solve_block(k: int, budget: int | None) -> BlockSolution:
     return solve_rung(k, ladder, budget)
 
 
-def _finish(k, f, arcs, nodes, proven, cuts=(0, 0, 0), floor=0, runs=1, trail=()) -> BlockSolution:
+def _finish(k, f, arcs, nodes, proven, cuts=(0, 0, 0, 0), floor=0, runs=1, trail=()) -> BlockSolution:
     """Re-check the witness from scratch; raise if it is infeasible or off."""
     issues = check_assignment(k, arcs)
     if issues:
@@ -586,9 +720,9 @@ def load_table(path) -> dict[int, dict]:
     2 and an ``assignment`` of [i, j] integer pairs, its witness
     passes ``check_assignment`` and reproduces the integer f, and g2 is f's.  A bad row
     raises ``ValueError`` naming k, a file that is not a JSON object keyed
-    by k one naming the file.  The 55 rows k=2..56 audit in about 0.25 s
-    (Python 3.11, 2 CPUs); solving rows k=2..40 takes about 10 s, and rows
-    k=41..56 about 4 min more.
+    by k one naming the file.  The 55 rows k=2..56 audit in about 0.02 s
+    (Python 3.11, 2 CPUs); solving rows k=2..40 takes about 8 s, and rows
+    k=41..56 about 2.5 min more.
     """
     with open(path) as fh:
         try:
@@ -597,7 +731,7 @@ def load_table(path) -> dict[int, dict]:
             raise ValueError(f"block table {path}: not JSON: {exc}") from None
     if not isinstance(document, dict):
         raise ValueError(f"block table {path}: not a JSON object keyed by k")
-    fields = table_row(BlockSolution(2, 2, (), True, 0, 0, 0, 0, 0, 1))  # any solution names them
+    fields = table_row(BlockSolution(2, 2, (), True, 0, 0, 0, 0, 0, 0, 1))  # any solution names them
     rows = {}
     for key, row in document.items():
         if not (key.isdecimal() and str(int(key)) == key):
@@ -646,8 +780,8 @@ def save_table(path, rows: Mapping[int, dict]) -> None:
     is created if missing.  The text goes to a temporary file beside
     ``path`` that then replaces it, so a write that fails part way leaves
     the old table whole and no temporary file.  From an empty table,
-    solving and saving row by row takes about 2 s to k=32 and 10 s to k=40
-    (Python 3.11, 2 CPUs).
+    solving and saving row by row takes about 1 s to k=32, 8 s to k=40 and
+    3 min to k=56 (Python 3.11, 2 CPUs).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -6,11 +6,14 @@ apart from the wall seconds that ``search``, ``block`` and ``bound`` report,
 with how they stopped (``complete`` or ``budget``), in their provenance.
 ``search`` and ``block`` also list there each raise of the incumbent as
 [nodes so far, new value] under ``incumbents``; ``block`` lists none for a
-row it read from the table.  ``search`` lists only raises above its seed,
+row it read from the table.  ``block`` also gives there ``lookahead_cuts``,
+the children only the search's lookahead bound cut (null for a row read from
+the table).  ``search`` lists only raises above its seed,
 the closed family member it starts from, which it reports under ``seed``
 (family, tuple and total, or null).
 Exit status: 0 success, 1 validation or parse error, 2 incomplete result
-under --strict.
+under --strict.  A search or block solve the budget stops reports one node
+more than ``--budget``: the node it refused is counted.
 
 ``block --k K --table PATH`` keeps the block table at PATH (a missing file
 is an empty one).  It audits every row with ``blocks.load_table``, solves
@@ -255,12 +258,13 @@ def cmd_search(args) -> int:
 
 def _extend_table(
     path: Path | None, k_max: int, budget: int | None
-) -> tuple[dict[int, dict], dict[int, tuple[tuple[int, int], ...]]]:
+) -> tuple[dict[int, dict], dict[int, blocks.BlockSolution]]:
     """The audited rows at ``path``, every size 2..k_max proven or solved.
 
-    Also returns the incumbent trail of each size solved here.  With no
-    path the table starts empty and stays in memory: no file is written and
-    no progress line printed.
+    Also returns the solution of each size solved here, which holds what
+    its row does not store: the incumbent trail and the lookahead cuts.
+    With no path the table starts empty and stays in memory: no file is
+    written and no progress line printed.
     """
     if k_max < 2:
         raise ValueError(f"blocks need k >= 2, not k={k_max}")
@@ -268,7 +272,7 @@ def _extend_table(
         raise ValueError(f"budget must be non-negative, not {budget}")
     rows = blocks.load_table(path) if path and path.exists() else {}
     ladder = {k: row["f"] for k, row in rows.items() if row["proven"]}
-    trails = {}
+    solved = {}
     for k in range(2, k_max + 1):
         if k in ladder:
             continue
@@ -277,7 +281,7 @@ def _extend_table(
         seconds = time.perf_counter() - t0
         if sol.proven_optimal:
             ladder[k] = sol.f
-        trails[k] = sol.incumbents
+        solved[k] = sol
         row = blocks.table_row(sol)
         rows[k] = {**row, "seconds": round(seconds, 2), "solver": __version__}
         if path:
@@ -288,32 +292,34 @@ def _extend_table(
                 file=sys.stderr,
                 flush=True,
             )
-    return rows, trails
+    return rows, solved
 
 
 def _table_rows(args, k_max: int, inputs: dict, provenance: dict):
     """``_extend_table`` on ``--table``; the report names the table as it is left."""
     path = Path(args.table) if args.table else None
-    rows, trails = _extend_table(path, k_max, args.budget)
+    rows, solved = _extend_table(path, k_max, args.budget)
     if path:
         inputs["table"] = args.table
         provenance["table_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
         provenance["relative_to"] = "table"
-    return rows, trails
+    return rows, solved
 
 
 def cmd_block(args) -> int:
     t0 = time.perf_counter()
     inputs = {"k": args.k}
     provenance = {"budget": args.budget}
-    rows, trails = _table_rows(args, args.k, inputs, provenance)
+    rows, solved = _table_rows(args, args.k, inputs, provenance)
     stored = rows[args.k]
     # its time and solver tell how the row was made, not what it is
     row = {key: v for key, v in stored.items() if key not in ("seconds", "solver")}
     provenance["solver"] = stored.get("solver")
-    # each raise of the incumbent: [nodes so far, new value]; none for a
-    # row read from the table
-    provenance["incumbents"] = [list(step) for step in trails.get(args.k, ())]
+    sol = solved.get(args.k)  # None for a row read from the table
+    # each raise of the incumbent: [nodes so far, new value]
+    provenance["incumbents"] = [list(step) for step in sol.incumbents] if sol else []
+    # of the ladder cuts, those only the lookahead pairs made; not stored
+    provenance["lookahead_cuts"] = sol.lookahead_cuts if sol else None
     provenance["stop"] = "complete" if row["proven"] else "budget"
     provenance["seconds"] = time.perf_counter() - t0
     doc = fileio.make_report("block", inputs, row, provenance)

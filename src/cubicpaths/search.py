@@ -191,7 +191,9 @@ class Budget:
 
     It also counts the child prefixes the walk cut without visiting them,
     by source: a dead prefix, a kind run, a parallel edge, the bound or
-    dominance.
+    dominance.  ``spend`` counts a node before it checks the ceiling, so a
+    stopped walk has ``used == limit + 1``: the refused node is counted, as
+    in ``blocks._solve``.
     """
 
     def __init__(self, limit: int | None = None):
@@ -609,6 +611,8 @@ def find_extremal(spec: SearchSpec, budget_limit: int | None = None) -> Extremal
     the seed, the report is incomplete, with the seed's total as the
     maximum and the seed as its only witness.  A complete walk that yields
     nothing worth the seed raises RuntimeError, also under ``python -O``.
+    A walk the budget stops reports ``budget_limit + 1`` nodes: the node it
+    refused is counted (``Budget``).
     """
     budget = Budget(budget_limit)
     seed = _family_seed(spec)

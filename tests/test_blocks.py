@@ -49,13 +49,19 @@ def table():
 
 
 @pytest.fixture(scope="module")
-def oracle(table):
+def brutes():
+    """``brute_block(k)`` for k = 2..12."""
+    return {k: brute_block(k) for k in range(2, 13)}
+
+
+@pytest.fixture(scope="module")
+def oracle(table, brutes):
     """f(k) for k = 2..14: ``brute_block`` up to 12, the table at 13 and 14.
 
     Rows 13 and 14 of the table equal ``brute_block`` (criterion 10), which
     is too slow to run here again.
     """
-    return {k: brute_block(k).f if k <= 12 else table[k]["f"] for k in range(2, 15)}
+    return {k: brutes[k].f if k <= 12 else table[k]["f"] for k in range(2, 15)}
 
 
 def _solved(row):
@@ -100,6 +106,78 @@ def test_check_assignment_flags_problems():
     arc = next(e for e in sol.assignment if e[1] > e[0] + 1)
     stripped = tuple(e for e in sol.assignment if e != arc)
     assert any("degree" in v for v in check_assignment(6, stripped))
+
+
+def _check_assignment_by_rescan(k, edges):
+    """``check_assignment`` with each interval's crossing edges counted afresh.
+
+    The reference for the incremental sweep: the same checks and messages
+    in the same order, each interval rescanning every edge, O(k^2 E).
+    """
+    out = []
+    es = set(edges)
+    if len(es) != len(edges):
+        out.append("edge variables are binary; duplicate edge present")
+    for i, j in edges:
+        if not (0 <= i < j <= k + 1):
+            out.append(f"edge ({i}, {j}) out of range or not forward")
+    for i in range(0, k + 1):
+        if (i, i + 1) not in es:
+            out.append(f"missing forced path edge ({i}, {i + 1})")
+    deg = [0] * (k + 2)
+    for i, j in edges:
+        if 1 <= i <= k:
+            deg[i] += 1
+        if 1 <= j <= k:
+            deg[j] += 1
+    for v in range(1, k + 1):
+        if deg[v] != 3:
+            out.append(f"vertex {v} has degree {deg[v]}, expected 3")
+    for i in range(1, k):
+        for j in range(i + 1, k + 1):
+            crossing = sum((i <= u <= j) != (i <= v <= j) for u, v in edges)
+            if crossing < 3:
+                out.append(f"interval [{i}, {j}] crossed by only {crossing} edges")
+    return out
+
+
+def _mutants(k, arcs, rng):
+    """Nine mutants of ``arcs``: two drop an edge, the rest add one.
+
+    The added edge is a new or duplicate forward edge, one out of range at
+    either end, a backward edge or a self-loop; the last mutant also drops
+    a path edge.
+    """
+    arcs = list(arcs)
+    i = rng.randrange(1, k + 1)
+    j = rng.randrange(i, k + 2)
+    return [
+        arcs[:m] + arcs[m + 1 :] for m in rng.sample(range(len(arcs)), 2)
+    ] + [
+        arcs + [(i, j)],
+        arcs + [(i - 1, j)],  # a duplicate when it is already there
+        arcs + [(-1, i)],
+        arcs + [(i, k + 3)],
+        arcs + [(j, i)],  # backward unless i = j
+        arcs + [(i, i)],
+        [(u, v) for u, v in arcs if (u, v) != (i - 1, i)] + [(i, i)],
+    ]
+
+
+def test_incremental_interval_sweep_matches_a_rescan(table, brutes):
+    rng = random.Random(30)
+    witnesses = [(k, row["assignment"]) for k, row in table.items()]
+    witnesses += [(k, sol.assignment) for k, sol in brutes.items()]
+    checked = flagged = 0
+    for k, arcs in witnesses:
+        for edges in [list(arcs)] + _mutants(k, arcs, rng):
+            edges = tuple(tuple(e) for e in edges)
+            issues = check_assignment(k, edges)
+            assert issues == _check_assignment_by_rescan(k, edges), (k, edges)
+            checked += 1
+            flagged += any("interval" in issue for issue in issues)
+    assert (len(witnesses), checked) == (66, 660)
+    assert flagged == 65  # mutants that leave an interval crossed too few times
 
 
 def test_growth_factor_values():
@@ -197,13 +275,13 @@ def test_budget_exhaustion_flags(table):
     assert not sol.proven_optimal
     assert check_assignment(10, sol.assignment) == []
     assert sol.f <= solve_block(10).f
-    # with the full ladder k=10's floor is 18, one below f = 19, which the
-    # search first reaches at node 34; 30 of its 187 nodes stop the run
+    # with the full ladder k=9's floor is 14, one below f = 15, which the
+    # search first reaches at node 37; 30 of its 81 nodes stop the run
     # before that, and the best leaf at or below the floor is reported
-    sol = solve_rung(10, {r: table[r]["f"] for r in range(2, 10)}, 30)
-    assert (sol.floor, sol.runs, sol.proven_optimal, sol.nodes_explored) == (18, 1, False, 31)
-    assert check_assignment(10, sol.assignment) == []
-    assert recompute_counts(10, sol.assignment) == sol.f <= 18
+    sol = solve_rung(9, {r: table[r]["f"] for r in range(2, 9)}, 30)
+    assert (sol.floor, sol.runs, sol.proven_optimal, sol.nodes_explored) == (14, 1, False, 31)
+    assert check_assignment(9, sol.assignment) == []
+    assert recompute_counts(9, sol.assignment) == sol.f <= 14
 
 
 def _assert_cut_off_is_exact(k, ladder, needed, f):
@@ -333,6 +411,72 @@ def test_tail_aware_child_bound_is_admissible(table):
     assert (children, tight) == (89_130, 75)
 
 
+def _lookahead_by_cases(incoming, n, c, r, f, p):
+    """The largest of the lookahead cases for a child, each written out plainly.
+
+    t is the distance to the next outgoing vertex j, s = r - t the length of
+    the suffix j heads; the last case of each kind has none after the child.
+    """
+    ts = range(1, r - 1)
+    if incoming:
+        cases = [(n + (t - 2) * c) * p[r - t] + c * f[r - t] for t in ts]
+        return max(cases + [n + (r - 1) * c])
+    cases = [n * f[r - t] + (t - 1) * c * p[r - t] for t in ts]  # its arc lands after j
+    cases += [(2 * n + (t - 3) * c) * p[r - t] + c * f[r - t] for t in ts if t >= 3]
+    return max(cases + ([2 * n + (r - 2) * c] if r > 2 else []) + [n + (r - 1) * c])
+
+
+def test_lookahead_child_bound_is_admissible(table):
+    # every child's best completion is at most the largest lookahead case;
+    # the fronts of pairs give exactly that largest case, the bound is below
+    # the tail-aware one at 5,084 children, and the child bound, the smaller
+    # of the two, is met exactly at 2,096 with 4 or more vertices left
+    f = {0: 1, 1: 1, **{k: row["f"] for k, row in table.items()}}
+    p = blocks._path_caps(f, 12)
+    fronts = {r: blocks._lookahead(r, f, p) for r in range(2, 12)}
+    children = below = tight = 0
+    for k in range(3, 12):
+        for incoming, nx, c, r, best in _children_and_best(k):
+            bound = _lookahead_by_cases(incoming, nx, c, r, f, p)
+            pairs = fronts[r][0 if incoming else 1]
+            assert max(a * (nx - c) + s * c for a, s in pairs) == bound, (k, incoming, nx, c, r)
+            assert best <= bound, (k, incoming, nx, c, r, best)
+            tail = c * f[r] + (nx - c) * f[r - 2 if incoming else r - 1]
+            below += bound < tail
+            tight += best == min(bound, tail) and r >= 4
+            children += 1
+    assert (children, below, tight) == (89_130, 5_084, 2_096)
+
+
+def test_path_caps_are_f_of_s_minus_1_on_the_stored_table(table):
+    # f(s-1) >= 2 p(s-3) at every s, so the caps move no node count; the
+    # tightest is s = 32, f(31) = 1.0196 * 2 f(28)
+    f = {0: 1, 1: 1, **{k: row["f"] for k, row in table.items()}}
+    caps = blocks._path_caps(f, max(table) + 2)
+    assert caps[:3] == [1, 1, 1]
+    assert caps[3:] == [f[s - 1] for s in range(3, max(table) + 2)]
+    slack = {s: f[s - 1] / (2 * f[s - 4]) for s in range(5, max(table) + 2)}
+    assert min(slack, key=slack.get) == 32 and round(slack[32], 4) == 1.0196
+
+
+def test_path_caps_with_a_rung_scaled_up(table, oracle):
+    # a rung m scaled by 3 is still an upper bound, and then p(m + 4) =
+    # 2 p(m + 1) = 6 f(m) is above f(m + 3): the caps follow the recurrence,
+    # and every block up to 14 still solves to the oracle's f
+    f = {0: 1, 1: 1, **{k: row["f"] for k, row in table.items()}}
+    for m in range(2, 11):
+        scaled = {**f, m: 3 * f[m]}
+        caps = blocks._path_caps(scaled, m + 5)
+        assert caps[m + 4] == 2 * caps[m + 1] == 6 * f[m] > f[m + 3], m
+        for k in range(m + 1, 15):
+            ladder = {r: scaled[r] for r in range(2, k)}
+            sol = solve_rung(k, ladder)
+            assert (sol.f, sol.proven_optimal) == (oracle[k], True), (m, k)
+    # a missing rung leaves p(s) = f(s) where the recurrence needs it
+    caps = blocks._path_caps({r: v for r, v in f.items() if r != 6}, 12)
+    assert (caps[7], caps[10]) == (f[7], max(f[9], 2 * f[7]))
+
+
 def test_floor_contract(oracle):
     # from a floor G below f the search proves f with a witness; from G >= f
     # it completes with no leaf above G, and any leaf it hands back (the
@@ -356,26 +500,26 @@ def test_incumbent_trail(oracle):
     # each leaf that raised the incumbent, (nodes so far, value), ending at f;
     # k=10's floor is one below f, so only the leaf worth f raises it, and
     # the trail is no part of the stored row
-    assert solve_block(14).incumbents == ((119, 47), (237, 48))
-    assert solve_block(10).incumbents == ((34, 19),)
+    assert solve_block(14).incumbents == ((106, 47), (212, 48))
+    assert solve_block(10).incumbents == ((28, 19),)
     assert "incumbents" not in table_row(solve_block(14))
-    # a floor above f: the first run (5 nodes) finds nothing above it, and
-    # the second run's trail counts those 5 nodes first
+    # a floor above f: the first run (2 nodes) finds nothing above it, and
+    # the second run's trail counts those 2 nodes first
     ladder = {r: oracle[r] for r in range(2, 12)}
     ladder[11] *= 2
     sol = solve_rung(12, ladder)
-    assert (sol.f, sol.floor, sol.runs, sol.nodes_explored) == (31, 60, 2, 498)
+    assert (sol.f, sol.floor, sol.runs, sol.nodes_explored) == (31, 60, 2, 444)
     first_run = _solve(12, None, ladder, 60)
-    assert (first_run[2], first_run[5]) == (5, ())
+    assert (first_run[2], first_run[5]) == (2, ())
     second_run = _solve(12, None, ladder)
-    assert sol.incumbents == tuple((5 + m, value) for m, value in second_run[5])
-    assert sol.incumbents[-1] == (208, 31)
+    assert sol.incumbents == tuple((2 + m, value) for m, value in second_run[5])
+    assert sol.incumbents[-1] == (199, 31)
 
 
 def test_ladder_without_rung_k_minus_7_keeps_floor_0(table):
     # without f(k-7) there is no guess: one run from 0, with the node counts
     # of a search that has no floor
-    before = {9: 133, 12: 564, 16: 2_382, 20: 9_944, 22: 18_214}
+    before = {9: 133, 12: 517, 16: 2_129, 20: 8_619, 22: 15_418}
     for k, nodes in before.items():
         ladder = {r: table[r]["f"] for r in range(2, k) if r != k - 7}
         sol = solve_rung(k, ladder)
@@ -526,6 +670,9 @@ def test_cut_counters(table):
         assert sol.ladder_cuts + sol.relaxation_cuts < sol.nodes_explored
     assert full.dominance_cuts == table[20]["dominance_cuts"]
     assert full.ladder_cuts == table[20]["ladder_cuts"]
+    # the lookahead cuts are ladder cuts, and no part of the stored row
+    assert 0 < full.lookahead_cuts < full.ladder_cuts and bare.lookahead_cuts == 0
+    assert "lookahead_cuts" not in table_row(full)
     oracle = brute_block(8)
     assert (oracle.dominance_cuts, oracle.ladder_cuts, oracle.relaxation_cuts) == (0, 0, 0)
 
@@ -564,8 +711,8 @@ def test_solve_block_does_not_depend_on_call_history():
         "sol = solve_block(18, budget=130_000)\n"
         "print(sol.f, sol.proven_optimal, sol.nodes_explored)\n"
     )
-    assert fresh.split() == ["137", "True", "3405"]
-    assert (sol.f, sol.proven_optimal, sol.nodes_explored) == (137, True, 3_405)
+    assert fresh.split() == ["137", "True", "2806"]
+    assert (sol.f, sol.proven_optimal, sol.nodes_explored) == (137, True, 2_806)
 
 
 def test_assemble_bound_never_solves(table, monkeypatch):
@@ -609,7 +756,7 @@ def test_ladder_solves_each_size_once_and_matches_the_table(table):
         k, f, nodes, proven = line.split()
         solved[int(k)] = (int(f), int(nodes), proven == "True")
     assert solved == {k: (table[k]["f"], table[k]["nodes"], True) for k in range(2, 23)}
-    assert sum(nodes for _, nodes, _ in solved.values()) == 45_497
+    assert sum(nodes for _, nodes, _ in solved.values()) == 37_837
     # the same search from the stored ladder gives the stored row: every
     # count, the floor, the runs and the witness
     for k in range(2, 23):

@@ -348,9 +348,20 @@ def test_block_json_reports_the_incumbent_trail(capsys):
     # searched, so it lists none
     assert main(["--format", "json", "block", "--k", "14"]) == 0
     provenance = json.loads(capsys.readouterr().out)["provenance"]
-    assert provenance["incumbents"] == [[119, 47], [237, 48]]
+    assert provenance["incumbents"] == [[106, 47], [212, 48]]
     assert main(["--format", "json", "block", "--k", "14", "--table", str(TABLE)]) == 0
     assert json.loads(capsys.readouterr().out)["provenance"]["incumbents"] == []
+
+
+def test_block_json_reports_the_lookahead_cuts(capsys):
+    # a solved row gives the children only the lookahead bound cut, which
+    # its stored row leaves out; a row read from the table gives null
+    assert main(["--format", "json", "block", "--k", "14"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["provenance"]["lookahead_cuts"] == solve_block(14).lookahead_cuts == 69
+    assert "lookahead_cuts" not in report["outputs"]
+    assert main(["--format", "json", "block", "--k", "14", "--table", str(TABLE)]) == 0
+    assert json.loads(capsys.readouterr().out)["provenance"]["lookahead_cuts"] is None
 
 
 @pytest.mark.parametrize(
@@ -358,7 +369,7 @@ def test_block_json_reports_the_incumbent_trail(capsys):
 )
 def test_block_json_reports_floor_runs_and_provenance(budget, stop, proven, capsys):
     # k=10's floor, 18, is one below f: the leaf worth f beats it and
-    # proves f in one run; 150 nodes prove k=9 (99) but stop k=10 (187)
+    # proves f in one run; 150 nodes prove k=9 (81) but stop k=10 (160)
     flags = [] if budget is None else ["--budget", str(budget)]
     assert main(["--format", "json", *flags, "block", "--k", "10"]) == 0
     report = json.loads(capsys.readouterr().out)

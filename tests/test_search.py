@@ -476,6 +476,11 @@ def test_budget_stop_before_the_seed_reports_the_seed():
     assert r.closed_form.equal is None and not r.closed_form.exceeded
 
 
+def test_a_budget_stop_counts_the_refused_node():
+    # a budget of 1 lets one node through and stops at the second, which counts
+    assert check_conjecture("fibonacci", 7, budget_limit=1).nodes == 2
+
+
 def test_a_complete_walk_below_its_seed_raises(monkeypatch):
     # a planted seed above the maximum: the walk yields nothing worth it
     spec = conjecture_spec("fibonacci", 6)
