@@ -35,7 +35,7 @@ increasing, p(s) = max(f(s-1), 2 p(s-3)) for s >= 3, with p(0) = p(1) =
 p(2) = 1, caps P(j) for every suffix of length at most s.  Where the ladder
 lacks f(s-1) or p(s-3), p(s) = f(s) does (embed j..k).  These embeddings
 all start at an outgoing vertex.  On the stored table p(s) = f(s-1) at
-every s; the tightest is f(31) = 1.0196 * 2 f(28).  An incoming b passes
+every s; the tightest is f(58) = 1.0196 * 2 f(55).  An incoming b passes
 its paths on to the next outgoing vertex, so P <= p(r-1) for it, and P <=
 p(r) for an outgoing b.
 
@@ -94,20 +94,36 @@ at most that of an earlier placement with the same structure cannot beat
 what the search already found below that one, and it is cut.  ``_solve``
 has the proofs and the O(1) update of the structure.
 
-``solve_rung`` starts the search from an aspiration incumbent.  When the
-ladder holds k-1, k-6 and k-7, it predicts p = f(k-1) f(k-6) / f(k-7) and
-sets the floor G = floor(0.95 p) - 1 (at least 0): the search starts at
-``best_f = G``, so every bound cuts against G from the first node on, and
-only a leaf above G becomes the incumbent.  If a leaf above G is found, every cut was at a bound
-no higher than the incumbent at that moment, which never exceeds the final
-maximum, so the maximum is proven just as from ``best_f = 0``.  If the search
+``solve_rung`` starts the search from an aspiration incumbent, the floor
+G.  It is the larger of two values, each 0 where the ladder lacks a rung it
+reads: the guess floor(0.95 p) - 1, at least 0, for p = f(k-1) f(k-6) /
+f(k-7), and 2 f(k-3).  The search starts at ``best_f = G``, so every bound
+cuts against G from the first node on, and only a leaf above G becomes the
+incumbent.  If a leaf above G is found, every cut was at a bound no higher
+than the incumbent at that moment, which never exceeds the final maximum,
+so the maximum is proven just as from ``best_f = 0``.  If the search
 completes with no leaf above G, that proves f <= G, so a leaf worth G is
 the maximum.  Only when every leaf is below G does ``solve_rung`` solve
 again once from floor 0 with a fresh dominance store (the stored states
 only cover what their subtrees found against G).  Over the stored table
-the floor is below f at every k, so no stored row runs twice.  Without the
-- 1 it would equal f at k = 9 and 10, where the bound cuts every leaf worth
-exactly G, and those rows would run twice.
+the floor is below f at every k, so no stored row runs twice.  A floor
+below f leaves the witness as it is: the first leaf worth f in depth-first
+order is never cut, not by a bound (each cuts only completions worth at
+most ``best_f`` < f) and not by dominance (the stored state that dominates
+would reach a leaf worth f earlier).
+
+*Floor lemma.*  f(k) >= 2 f(k-3) + 1 for k >= 5, so 2 f(k-3) < f(k).  Take
+an optimal block of m = k-3 vertices, final count F = f(m), and append
+three vertices: a = m+1, outgoing with its arc to the new final vertex
+m+3; b = m+2, fed from the dummy source; and m+3, fed from a.  Every arc
+that went to the old dummy sink m+1, other than the path edge (m, m+1),
+goes to the new one, m+4.  a, b and m+3 have degree 3 and the old vertices
+keep theirs.  x_a = F, x_b = F + 1 and x_{m+3} = x_b + x_a = 2F + 1.  An
+interval inside 1..m is crossed by the same edges as before, an arc to the
+sink still leaving it.  An interval [i, j] with j > m and at least two
+vertices is crossed by the path edges (i-1, i) and (j, j+1) and a third:
+the arc (m+1, m+3) when j = m+1, and otherwise, since then i <= m+2 <= j,
+the arc (0, m+2).  So the block is feasible and worth 2F + 1.
 
 Everything is deterministic: fixed child order, sequential search.
 """
@@ -229,10 +245,17 @@ def recompute_counts(k: int, edges: tuple[Edge, ...]) -> int:
 
 
 def _aspiration_floor(k: int, ladder: Mapping[int, int]) -> int:
-    """floor(0.95 p) - 1, at least 0, for p = f(k-1) f(k-6) / f(k-7); 0 unless all are known."""
-    if not all(r in ladder for r in (k - 1, k - 6, k - 7)):
-        return 0
-    return max(0, 95 * ladder[k - 1] * ladder[k - 6] // (100 * ladder[k - 7]) - 1)
+    """The search's starting incumbent, below f(k): the larger of two floors.
+
+    The guess floor(0.95 p) - 1 for p = f(k-1) f(k-6) / f(k-7), and
+    2 f(k-3), which the floor lemma of the module docstring proves below
+    f(k); each is left out where the ladder lacks a rung it reads, and the
+    floor is 0 when both are.
+    """
+    floor = 2 * ladder.get(k - 3, 0)
+    if all(r in ladder for r in (k - 1, k - 6, k - 7)):
+        floor = max(floor, 95 * ladder[k - 1] * ladder[k - 6] // (100 * ladder[k - 7]) - 1)
+    return floor
 
 
 def _relaxation_bound(x: int, r: int, n_open: int) -> int:
@@ -307,7 +330,9 @@ class _BudgetSpent(Exception):
     """The node budget ran out; raised out of the search and caught once."""
 
 
-def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0):
+def _solve(
+    k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0, *, dominance: bool = True
+):
     """Branch-and-bound core.  Returns (f, arcs, nodes, completed, cuts, trail).
 
     ``f`` and ``arcs`` are the best leaf evaluated, (0, None) when none was.
@@ -316,7 +341,9 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
     node is.  The lookahead cuts are the ladder cuts made where the
     tail-aware bound did not cut, the siblings cut with them included.
     ``trail`` lists (nodes so far, value) for each leaf that raised
-    ``best_f``.
+    ``best_f``.  With ``dominance=False`` no state is looked up or stored,
+    so the search cuts by the bounds and the structure mask alone; the
+    tests check the dominance cut against it.
 
     **Floor.**  ``best_f``, the value every bound is compared with, starts
     at ``floor``.  A leaf is kept when it beats the best leaf so far, but it
@@ -428,8 +455,16 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
     ``i = bisect_left(kept, vec)``, a dominator of ``vec`` is no smaller
     than ``vec`` and lies in ``kept[i:]``; when there is none, a vector
     ``vec`` dominates is smaller and lies in ``kept[:i]``.  So the scan
-    reads only ``kept[i:]`` and the purge only ``kept[:i]``, and ``vec``
-    goes in after what the purge keeps, which keeps the list ascending.
+    reads only ``kept[i:]`` and the purge only ``kept[:i]``.  The purge
+    walks ``kept[:i]`` downward in place, deletes each vector ``vec``
+    dominates and lowers ``i`` for each, then inserts ``vec`` at ``i``:
+    what is left below ``i`` is smaller than ``vec`` and what lies from
+    ``i`` on is larger, so the list stays ascending.  No vector left
+    dominates ``vec`` (the scan found none) and ``vec`` dominates none left,
+    so the list stays an antichain.  The loop reads the same vectors as a
+    filter over ``kept[:i]`` would, but builds no list per insertion, and
+    most lists are short: at k <= 22 the median length at an insertion is
+    3.
     """
     if k > 255:
         raise ValueError(f"the structure key holds pos and len(opens) in 8 bits: k={k} > 255")
@@ -466,14 +501,15 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
     for i in range(k):
         guards.append(guards[-1] | 1 << (i * W + W - 1))
     # structure key -> the packed vectors stored under it, ascending, none
-    # dominating another
+    # dominating another; states from position ``keyed`` on are looked up
     stored: dict[int, list[int]] = {}
+    keyed = 2 if dominance else k
 
     def rec(pos: int, x: int, mask: int, tails: int) -> None:
         nonlocal best_f, leaf_f, leaf_arcs, nodes
         nonlocal dominance_cuts, ladder_cuts, relaxation_cuts, lookahead_cuts
         top = len(opens)
-        if pos >= 2:
+        if pos >= keyed:
             # dominance: cut this state if a finished one of its structure
             # is componentwise at least as good
             vec = tails | x << W * (top - 1)
@@ -489,8 +525,14 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
                     if ((old | g) - vec) & g == g:
                         dominance_cuts += 1
                         return
+                # drop what vec dominates, in place, and insert vec where
+                # they were: the list stays ascending
                 gv = vec | g
-                kept[:i] = [old for old in kept[:i] if (gv - old) & g != g] + [vec]
+                for j in range(i - 1, -1, -1):
+                    if (gv - kept[j]) & g == g:
+                        del kept[j]
+                        i -= 1
+                kept.insert(i, vec)
         nxt = pos + 1
         if nxt == k:
             # final vertex: forced incoming; evaluate every usable source
@@ -537,7 +579,9 @@ def _solve(k: int, budget: int | None, ftable: Mapping[int, int], floor: int = 0
             if ub <= best_f or ahead:
                 # every later sibling has a count and bounds no larger: cut
                 # this child and all idx after it, one node each
-                cut = min(idx + 1, limit - nodes + 1)
+                cut = idx + 1
+                if nodes + cut > limit:  # a budget stop still ends at limit + 1
+                    cut = limit - nodes + 1
                 nodes += cut
                 if fb is not None:
                     ladder_cuts += cut
@@ -658,8 +702,8 @@ def solve_block(k: int, budget: int | None = None) -> BlockSolution:
     relaxation bound).  Results are memoized per ``(k, budget)``, so the
     smaller blocks are solved once per budget, whatever the call order.
     The memo stays because callers walk the ladder: solving k=2..22 in
-    ascending order in one process takes 37,837 nodes with it and 135,821
-    without it, since each call would re-solve every rung below k (0.06 s
+    ascending order in one process takes 36,985 nodes with it and 132,770
+    without it, since each call would re-solve every rung below k (0.07 s
     against 0.25 s, medians of 5 runs, Python 3.11, 2 CPUs).
     A budget too small for some rung raises ``BudgetTooSmallError`` naming k.
     """
@@ -720,9 +764,9 @@ def load_table(path) -> dict[int, dict]:
     2 and an ``assignment`` of [i, j] integer pairs, its witness
     passes ``check_assignment`` and reproduces the integer f, and g2 is f's.  A bad row
     raises ``ValueError`` naming k, a file that is not a JSON object keyed
-    by k one naming the file.  The 55 rows k=2..56 audit in about 0.02 s
-    (Python 3.11, 2 CPUs); solving rows k=2..40 takes about 8 s, and rows
-    k=41..56 about 2.5 min more.
+    by k one naming the file.  The 61 rows k=2..62 audit in about 0.03 s
+    (Python 3.11, 2 CPUs); solving rows k=2..40 takes about 6 s, rows
+    k=41..56 about 2.3 min more and rows k=57..62 about 5.3 min more.
     """
     with open(path) as fh:
         try:
@@ -780,8 +824,8 @@ def save_table(path, rows: Mapping[int, dict]) -> None:
     is created if missing.  The text goes to a temporary file beside
     ``path`` that then replaces it, so a write that fails part way leaves
     the old table whole and no temporary file.  From an empty table,
-    solving and saving row by row takes about 1 s to k=32, 8 s to k=40 and
-    3 min to k=56 (Python 3.11, 2 CPUs).
+    solving and saving row by row takes about 1 s to k=32, 6 s to k=40,
+    2.4 min to k=56 and 7.7 min to k=62 (Python 3.11, 2 CPUs).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -868,9 +912,10 @@ def assemble_bound(k_lo: int, k_hi: int, table: Mapping[int, Mapping]) -> Growth
     extra steps.  The final block constant is the largest f below the
     window, known only when every size 2..k_lo-1 has a proven row.
 
-    The stored table's rows k=41..56 extend the paper, which stops at 40:
-    windows above 40 (51..56 gives 1.663151) rest on this block model, the
-    dominance proof and the six-wide window, not on the paper's table.
+    The stored table's rows k=41..62 extend the paper, which stops at 40:
+    windows above 40 (51..56 gives 1.663151, 57..62 gives 1.659372) rest on
+    this block model, the dominance proof and the six-wide window, not on
+    the paper's table.
     """
     check_window(k_lo, k_hi)
     for k in range(k_lo, k_hi + 1):

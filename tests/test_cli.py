@@ -348,7 +348,7 @@ def test_block_json_reports_the_incumbent_trail(capsys):
     # searched, so it lists none
     assert main(["--format", "json", "block", "--k", "14"]) == 0
     provenance = json.loads(capsys.readouterr().out)["provenance"]
-    assert provenance["incumbents"] == [[106, 47], [212, 48]]
+    assert provenance["incumbents"] == [[84, 47], [190, 48]]
     assert main(["--format", "json", "block", "--k", "14", "--table", str(TABLE)]) == 0
     assert json.loads(capsys.readouterr().out)["provenance"]["incumbents"] == []
 
@@ -358,7 +358,7 @@ def test_block_json_reports_the_lookahead_cuts(capsys):
     # its stored row leaves out; a row read from the table gives null
     assert main(["--format", "json", "block", "--k", "14"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["provenance"]["lookahead_cuts"] == solve_block(14).lookahead_cuts == 69
+    assert report["provenance"]["lookahead_cuts"] == solve_block(14).lookahead_cuts == 70
     assert "lookahead_cuts" not in report["outputs"]
     assert main(["--format", "json", "block", "--k", "14", "--table", str(TABLE)]) == 0
     assert json.loads(capsys.readouterr().out)["provenance"]["lookahead_cuts"] is None
