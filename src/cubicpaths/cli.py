@@ -331,7 +331,7 @@ def cmd_block(args) -> int:
         comments = [f"block solution k={args.k}, f={row['f']}"]
         comments += [f"dummy edge {u} {v}" for u, v in dummy]
         Path(args.graph_out).write_text(
-            fileio.write_graph_text(Dag(args.k, tuple(real)), tuple(comments))
+            fileio.write_graph_text(Dag(args.k, real), tuple(comments))
         )
         lines.append(f"wrote {args.graph_out}")
     _emit(args, doc, lines)

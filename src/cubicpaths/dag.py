@@ -3,9 +3,12 @@
 Vertices are numbered 1..N and every edge (u, v) satisfies u < v, so the
 vertex numbering doubles as a topological order and acyclicity holds by
 construction.  Parallel edges are repeated pairs; every operation counts
-them with multiplicity.  ``Dag.edges`` is always sorted, by tail and then by
-head, and ``count_paths`` relies on that order.  All types are immutable and
-all functions pure.
+them with multiplicity.  All types are immutable and all functions pure.
+A ``Dag`` takes its edges as int pairs (tuples or lists, in any order) and
+stores them as tuples sorted by tail, then head; ``count_paths`` and the
+one-pass functions rely on that order.  Endpoints are not coerced: ``int()``
+on each made a 40-vertex build cost 13.6 us against 5.4 us, and the parsers
+already make ints; a non-int endpoint is a violation, not another graph.
 The one cache is a ``Dag``'s validation verdict: it is computed on first
 use and stored on the instance, from frozen fields only, so a ``Dag`` can
 still be shared freely between threads (a concurrent first use at worst
@@ -13,6 +16,9 @@ computes the same verdict twice).  It stays the only one: a function
 makes its own pass over the sorted edges for the degrees it reads.  Caching
 degree lists on every ``Dag`` took graph-rewrite's peak RSS from 58.3 to
 64.3 MB (+10%) for a wall-time cut of about 10%, against 20% without it.
+The verdict is one pass that checks each edge's range and counts degrees;
+a zero search and a count of degree-3 vertices then clear a valid graph,
+and messages are built only for a fault.
 
 Path counts are plain Python ints (arbitrary precision); they grow roughly
 like 1.68**n, which overflows any fixed-width type long before n = 60.
@@ -48,7 +54,8 @@ class Dag:
 
     ``profile`` is a claim, not a fact: ``validate`` reports violations as
     data.  ``None`` means no degree discipline is claimed (useful for
-    degenerate plumbing graphs such as a single edge).
+    degenerate plumbing graphs such as a single edge).  ``edges`` are int
+    pairs in any order, stored sorted as tuples and never coerced.
 
     Validity is a property of the instance: the verdict behind ``validate``
     and ``require_valid`` is computed on first use and cached on it, so
@@ -60,12 +67,7 @@ class Dag:
     profile: DegreeProfile | None = None
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted((int(u), int(v)) for u, v in self.edges))
-        object.__setattr__(self, "edges", canon)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
+        object.__setattr__(self, "edges", tuple(sorted(map(tuple, self.edges))))
 
     @cached_property
     def _verdict(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -122,33 +124,43 @@ def adjacency(dag: Dag) -> tuple[list[list[int]], list[list[int]]]:
 def _profile_violations(profile: DegreeProfile, indeg: list[int], outdeg: list[int]) -> list[str]:
     """Where the degrees break ``profile``'s rule; degrees are 1-based vectors."""
     n = len(indeg) - 1
-    deg = [i + o for i, o in zip(indeg, outdeg)]
+    deg = [i + o for i, o in zip(indeg, outdeg)]  # deg[0] is 0
     if profile is DegreeProfile.THREE_REGULAR:
+        if deg.count(3) == n:
+            return []
         return [f"vertex {v} has degree {deg[v]}, expected 3" for v in range(1, n + 1) if deg[v] != 3]
+    if deg[1] == deg[n] == 2 and deg.count(3) == n - 2:
+        return []
     out = [f"boundary vertex {v} has degree {deg[v]}, expected 2" for v in (1, n) if deg[v] != 2]
     out += [f"interior vertex {v} has degree {deg[v]}, expected 3" for v in range(2, n) if deg[v] != 3]
     return out
 
 
 def _violations(dag: Dag) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The (structural, profile) verdict, from one degree pass.
+    """The (structural, profile) verdict, from one pass over the edges.
 
-    The profile rule indexes degrees by vertex, so it runs only on a
-    structurally clean graph that declares a profile; otherwise the profile
-    part is empty.
+    The pass checks each edge's range and counts degrees; messages are built
+    only for a fault.  The profile rule indexes degrees by vertex, so it
+    runs only on a structurally clean graph that declares a profile.
     """
     n = dag.vertex_count
     if n < 2:
         return (f"vertex count {n} < 2",), ()
-    bad = [f"edge ({u}, {v}) violates 1 <= tail < head <= {n}" for u, v in dag.edges if not 1 <= u < v <= n]
-    if bad:
+    indeg = [0] * (n + 1)
+    outdeg = [0] * (n + 1)
+    try:
+        for u, v in dag.edges:
+            if not 1 <= u < v <= n:
+                return tuple(f"edge ({u}, {v}) violates 1 <= tail < head <= {n}" for u, v in dag.edges if not 1 <= u < v <= n), ()
+            outdeg[u] += 1
+            indeg[v] += 1
+    except TypeError:
+        return tuple(f"edge {e} has an endpoint that is not an int" for e in dag.edges if not all(isinstance(x, int) for x in e)), ()
+    if 0 in indeg[2:] or 0 in outdeg[1:n]:
+        bad = [f"vertex {v} has indegree 0 (source must be unique)" for v in range(2, n + 1) if indeg[v] == 0]
+        bad += [f"vertex {v} has outdegree 0 (sink must be unique)" for v in range(1, n) if outdeg[v] == 0]
         return tuple(bad), ()
-    indeg, outdeg = degree_vectors(n, dag.edges)
-    bad = [f"vertex {v} has indegree 0 (source must be unique)" for v in range(2, n + 1) if indeg[v] == 0]
-    bad += [f"vertex {v} has outdegree 0 (sink must be unique)" for v in range(1, n) if outdeg[v] == 0]
-    if bad or dag.profile is None:
-        return tuple(bad), ()
-    return (), tuple(_profile_violations(dag.profile, indeg, outdeg))
+    return (), () if dag.profile is None else tuple(_profile_violations(dag.profile, indeg, outdeg))
 
 
 def validate(dag: Dag) -> ValidationReport:
@@ -236,7 +248,7 @@ def edge_connectivity_at_least(dag: Dag, ell: int) -> bool:
     if ell not in (1, 2, 3):
         raise ValueError("ell must be 1, 2 or 3")
     require_valid(dag)
-    m = dag.n_edges
+    m = len(dag.edges)
     if m < ell - 1:
         # deleting every edge already isolates vertices
         return False
@@ -247,14 +259,15 @@ def edge_connectivity_at_least(dag: Dag, ell: int) -> bool:
 
 
 def is_on_ham_path(dag: Dag) -> bool:
-    """True iff the consecutive edge (i, i+1) is present for every i."""
+    """True iff every (i, i+1) is present, that is iff i's smallest head is i+1."""
     require_valid(dag)
+    first = dict(reversed(dag.edges))  # edges sorted: the last write is the smallest head
     n = dag.vertex_count
-    return set(zip(range(1, n), range(2, n + 1))).issubset(dag.edges)
+    return [*map(first.get, range(1, n))] == [*range(2, n + 1)]
 
 
 def is_simple(dag: Dag) -> bool:
-    return len(set(dag.edges)) == dag.n_edges
+    return len(set(dag.edges)) == len(dag.edges)
 
 
 def vertex_kinds(dag: Dag) -> tuple[int, ...]:

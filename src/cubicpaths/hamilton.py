@@ -93,8 +93,7 @@ def renumber(dag: Dag, order: tuple[int, ...]) -> Dag:
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"order must be a permutation of 1..{n}, got {tuple(order)}")
     pos = sorted(range(n + 1), key=(0, *order).__getitem__)  # the inverse: pos[old] = new
-    edges = tuple((pos[u], pos[v]) for u, v in dag.edges)
-    return Dag(n, edges, dag.profile)
+    return Dag(n, [(pos[u], pos[v]) for u, v in dag.edges], dag.profile)
 
 
 def tree_sort(dag: Dag) -> Dag:
@@ -115,8 +114,7 @@ def _apply_swap(outs: Adj, ins: Adj, swap: Swap) -> None:
 
 
 def _to_dag(outs: Adj, profile: DegreeProfile | None) -> Dag:
-    edges = tuple((u, v) for u in range(1, len(outs)) for v in outs[u])
-    return Dag(len(outs) - 1, edges, profile)
+    return Dag(len(outs) - 1, [(u, v) for u in range(1, len(outs)) for v in outs[u]], profile)
 
 
 def _outgoing_swap(outs: Adj, ins: Adj, b: int) -> Swap:

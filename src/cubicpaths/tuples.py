@@ -267,7 +267,7 @@ def decode(t: ArcTuple) -> Dag:
         at = [0, 1, *range(1, size), size, size]
     edges = [(p, p + 1) for p in range(1, size)]
     edges += zip(map(at.__getitem__, tail_pos[1:]), map(at.__getitem__, head_pos[1:]))
-    return Dag(size, tuple(edges), profile)
+    return Dag(size, edges, profile)
 
 
 def encode(dag: Dag) -> ArcTuple:

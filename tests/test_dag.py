@@ -169,7 +169,7 @@ def test_count_paths_does_not_depend_on_the_given_edge_order():
     rng = random.Random(5)
     boundary = [decode(t) for t in boundary_tuples(5)]
     merged = [decode(t) for t in merged_tuples(5)]
-    assert any(len(set(g.edges)) < g.n_edges for g in merged)  # parallel edges
+    assert any(len(set(g.edges)) < len(g.edges) for g in merged)  # parallel edges
     profileless = [Dag(g.vertex_count, g.edges) for g in boundary + merged]
     profileless.append(Dag(5, ((1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (3, 4), (4, 5), (4, 5))))
     for g in boundary + merged + profileless:
@@ -385,3 +385,26 @@ def test_entry_point_rejects_a_boundary_graph(name):
 )
 def test_validate_reports_violations(graph, violations):
     assert validate(graph).violations == violations
+
+
+def test_a_non_int_endpoint_is_reported_not_truncated():
+    # int() on each endpoint once made (1, 2.7) the edge (1, 2): another graph
+    g = Dag(3, ((1, 2.7), (2, 3), (1, 3)), DegreeProfile.BOUNDARY_DEG2)
+    assert g.edges == ((1, 2.7), (1, 3), (2, 3))
+    assert validate(g).violations == ("edge (1, 2.7) has an endpoint that is not an int",)
+    for name in ("count_paths", "is_on_ham_path", "encode"):
+        with pytest.raises(InvalidDagError):
+            ENTRY_POINTS[name](g)
+    for edge, shown in (((1, 2.0), "(1, 2.0)"), ((1, "2"), "(1, '2')"), ((1, None), "(1, None)")):
+        assert validate(Dag(2, (edge,))).violations == (f"edge {shown} has an endpoint that is not an int",)
+    with pytest.raises(TypeError):  # a str tail does not even sort among int tails
+        Dag(3, (("1", 2), (1, 3)))
+
+
+def test_edges_given_as_lists_build_the_same_dag(truncated_tetrahedron):
+    g = truncated_tetrahedron
+    for given in ([list(e) for e in reversed(g.edges)], list(g.edges)):
+        h = Dag(g.vertex_count, given, g.profile)
+        assert h == g and hash(h) == hash(g)
+        assert all(type(e) is tuple for e in h.edges)
+        assert validate(h).ok and count_paths(h) == count_paths(g)

@@ -1,10 +1,14 @@
-"""The single-pass graph functions against their neighbour-list formulations.
+"""The single-pass graph functions against their earlier formulations.
 
 ``tree_sort_order``, ``renumber``, ``is_on_ham_path``, ``structural_3ec``,
 ``encode`` and ``decode`` read what they need off one pass over
 ``Dag.edges``, relying on its order (by tail, then head).  The references
 below are the earlier formulations, built on neighbour lists, a path-edge
-dict, key sorts and a per-endpoint shift; outputs and errors must be equal.
+set or dict, key sorts and a per-endpoint shift; outputs and errors must be
+equal.  ``_reference_violations`` (with ``_reference_profile_violations``)
+is the validation verdict as it was before the range check moved into the
+degree pass and the messages behind cheap checks: the (structural,
+profile) pair must be equal, messages and their order included.
 """
 import itertools
 import random
@@ -24,7 +28,7 @@ from cubicpaths import (
     structural_3ec,
     tree_sort_order,
 )
-from cubicpaths.dag import adjacency, require_cubic, require_valid
+from cubicpaths.dag import _violations, adjacency, require_cubic, require_valid
 from cubicpaths.hamilton import renumber
 from cubicpaths.tuples import _boundary_layout, class_issues, is_simple_tuple
 
@@ -35,6 +39,36 @@ def _reference_on_ham_path(dag):
     require_valid(dag)
     present = set(dag.edges)
     return all((i, i + 1) in present for i in range(1, dag.vertex_count))
+
+
+def _reference_profile_violations(profile, indeg, outdeg):
+    n = len(indeg) - 1
+    deg = [i + o for i, o in zip(indeg, outdeg)]
+    if profile is DegreeProfile.THREE_REGULAR:
+        return [f"vertex {v} has degree {deg[v]}, expected 3" for v in range(1, n + 1) if deg[v] != 3]
+    out = [f"boundary vertex {v} has degree {deg[v]}, expected 2" for v in (1, n) if deg[v] != 2]
+    out += [f"interior vertex {v} has degree {deg[v]}, expected 3" for v in range(2, n) if deg[v] != 3]
+    return out
+
+
+def _reference_violations(dag):
+    """The verdict with a separate range pass and every message list built."""
+    n = dag.vertex_count
+    if n < 2:
+        return (f"vertex count {n} < 2",), ()
+    bad = [f"edge ({u}, {v}) violates 1 <= tail < head <= {n}" for u, v in dag.edges if not 1 <= u < v <= n]
+    if bad:
+        return tuple(bad), ()
+    indeg = [0] * (n + 1)
+    outdeg = [0] * (n + 1)
+    for u, v in dag.edges:
+        outdeg[u] += 1
+        indeg[v] += 1
+    bad = [f"vertex {v} has indegree 0 (source must be unique)" for v in range(2, n + 1) if indeg[v] == 0]
+    bad += [f"vertex {v} has outdegree 0 (sink must be unique)" for v in range(1, n) if outdeg[v] == 0]
+    if bad or dag.profile is None:
+        return tuple(bad), ()
+    return (), tuple(_reference_profile_violations(dag.profile, indeg, outdeg))
 
 
 def _reference_tree_sort_order(dag):
@@ -178,3 +212,108 @@ def test_one_pass_functions_match_the_references_on_random_graphs():
             kinds.add("raises" if verdict[0] == "raises" else None if verdict[1] is None else verdict[1][0])
     # off the path both raise; on it every kind of verdict occurs
     assert kinds == {"raises", None, "initial-segment", "interval"}
+
+
+PROFILE_CLAIMS = (None, DegreeProfile.THREE_REGULAR, DegreeProfile.BOUNDARY_DEG2)
+
+
+def _small_simple_graphs():
+    """All 1,098 simple graphs on 2..5 vertices with edges (u, v), u < v."""
+    for n in range(2, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            yield n, tuple(e for k, e in enumerate(pairs) if mask >> k & 1)
+
+
+def _decoded_graphs(max_length):
+    tuples = [t for length in range(1, max_length + 1) for t in boundary_tuples(length)]
+    tuples += [t for length in range(2, max_length + 1) for t in merged_tuples(length)]
+    return [decode(t) for t in tuples]
+
+
+def _assert_verdicts_match(graphs):
+    """Compare the verdicts; return the kinds of message that occurred."""
+    kinds = set()
+    for g in graphs:
+        verdict = _violations(g)
+        assert verdict == _reference_violations(g) == g._verdict, (g.vertex_count, g.edges, g.profile)
+        for part, messages in zip(("structural", "profile"), verdict):
+            kinds.update((part, m.split()[0]) for m in messages)
+        kinds.add(verdict == ((), ()))
+    return kinds
+
+
+def test_verdict_matches_the_reference_on_every_small_simple_graph_and_claim():
+    graphs = [Dag(n, edges, claim) for n, edges in _small_simple_graphs() for claim in PROFILE_CLAIMS]
+    assert len(graphs) == 3 * 1098
+    kinds = _assert_verdicts_match(graphs)
+    # range faults cannot occur here; every other outcome does
+    assert kinds == {
+        True, False, ("structural", "vertex"), ("profile", "vertex"),
+        ("profile", "boundary"), ("profile", "interior"),
+    }
+
+
+def test_verdict_matches_the_reference_on_every_decoded_tuple():
+    decoded = _decoded_graphs(7)
+    assert len(decoded) == 5913 + 2520
+    graphs = [Dag(g.vertex_count, g.edges, claim) for g in decoded for claim in PROFILE_CLAIMS]
+    assert _violations(decoded[0]) == ((), ())
+    kinds = _assert_verdicts_match(decoded + graphs)
+    # a graph of one class claimed as the other breaks the claim at its ends
+    assert {True, False, ("profile", "vertex"), ("profile", "boundary")} <= kinds
+
+
+def _planted(n, edges):
+    """(fault, vertex count, edges): one planted fault of each kind."""
+    (u0, v0), (u1, _) = edges[0], edges[-1]
+    mid = list(edges)
+    mid.remove((n // 2, n // 2 + 1))  # one copy of a path edge
+    return [
+        ("backward edge", n, ((v0, u0),) + edges[1:]),
+        ("tail 0", n, ((0, v0),) + edges[1:]),
+        ("head n+1", n, edges[:-1] + ((u1, n + 1),)),
+        ("n < 2", 1, edges),
+        ("second source", n, tuple(e for e in edges if e[1] != v0)),
+        ("second sink", n, tuple(e for e in edges if e[0] != u1)),
+        ("degree-2 interior", n, tuple(mid)),
+        ("degree-3 boundary", n, edges + ((1, n),)),
+    ]
+
+
+def test_verdict_matches_the_reference_on_planted_faults():
+    seen = {}
+    for g in _decoded_graphs(6):
+        for fault, n, edges in _planted(g.vertex_count, g.edges):
+            graphs = [Dag(n, edges, claim) for claim in PROFILE_CLAIMS]
+            seen.setdefault(fault, set()).update(_assert_verdicts_match(graphs))
+    want = {
+        "backward edge": ("structural", "edge"),
+        "tail 0": ("structural", "edge"),
+        "head n+1": ("structural", "edge"),
+        "n < 2": ("structural", "vertex"),
+        "second source": ("structural", "vertex"),
+        "second sink": ("structural", "vertex"),
+        "degree-2 interior": ("profile", "interior"),
+        "degree-3 boundary": ("profile", "boundary"),
+    }
+    assert all(kind in seen[fault] for fault, kind in want.items()), seen
+    # without a parallel copy, the cut path edge also strands a vertex
+    assert ("structural", "vertex") in seen["degree-2 interior"]
+
+
+def test_is_on_ham_path_matches_the_reference_on_multigraphs():
+    verdicts = []
+    for g in _decoded_graphs(6):
+        n = g.vertex_count
+        for i in range(1, n):
+            path_edge = (i, i + 1)
+            rest = list(g.edges)
+            rest.remove(path_edge)  # one copy goes; a parallel copy stays
+            for edges in (g.edges + (path_edge,), tuple(rest)):
+                x = Dag(n, edges)
+                verdict = _outcome(is_on_ham_path, x)
+                assert verdict == _outcome(_reference_on_ham_path, x), x.edges
+                verdicts.append(verdict)
+    assert {True, False} <= set(verdicts)
+    assert any(v[0] == "raises" for v in verdicts if isinstance(v, tuple))
