@@ -44,6 +44,18 @@ most c, the largest open count, and c <= x_b, so x_k <= c f(r) + (x_b - c)
 P with P <= p(r-1) or p(r) as above.  Where the ladder lacks p(r-1), P <=
 f(r) gives x_k <= x_b f(r) for an incoming b.
 
+*Open-count bound.*  A real tail feeds at most one arc into the suffix,
+which lands on an incoming vertex after b; that vertex passes its paths on
+to an outgoing vertex heading at most r-2 vertices, or to none (1 path), so
+Q_a <= q, the largest p(s) over s <= r-2 (f(r) where the ladder lacks one).
+With w1 >= w2 the two largest counts of the real tails placed before b and
+open after it (the dummy's 1 where fewer remain), sum w_a Q_a <= H(D) =
+w1 min(q, D) + w2 max(0, D - q) for D = f(r) - P, and x_b P + H(f(r) - P)
+is nondecreasing in P, since H's slope is at most w1 <= c <= x_b.  So x_k
+<= x_b P + H(f(r) - P) with P the cap above; it is the tail-aware bound
+when w1 = c and D <= q.  An outgoing b leaves w1 = c, and D <= q at every
+r of the stored table, so the search tests the bound on incoming b only.
+
 *Lookahead bound.*  Let j = b+t be the first outgoing vertex after b and s
 = r-t.  The vertices b+1..j-1 are incoming, each from an arc of weight at
 most c, or, when b is outgoing, one of them (never b+1) from b itself.
@@ -59,8 +71,10 @@ the child's count:
 * outgoing b with no outgoing vertex after it: x_k <= max(2n + (r-2)c,
   n + (r-1)c), or n + c when r = 2 (b+1 = k cannot take b's arc).
 
-t is not known, so the lookahead bound is the largest case, and the child's
-bound is the smaller of it and the tail-aware bound.  Each case is
+t is not known, so the lookahead bound is the largest case.  When b closes
+the top tail, the arcs after b come from the tails left open, so it also
+holds with the next tail's count for c.  The child's bound is the smallest
+of these, the tail-aware and the open-count bound.  Each case is
 a (n - c) + g c with a >= 0 and (a, g) fixed by r and the ladder.  Since
 n >= c, a case no larger than another in both a and g is never the largest,
 so ``_lookahead`` keeps per r only the others, sorted once.  The lookahead
@@ -76,10 +90,12 @@ The children of a vertex are tried incoming from the open tail with the
 largest count first, the dummy source last, then outgoing.  The open tails
 are kept in non-decreasing count order for free (a tail carries the count
 at its source, and counts never fall along the path), so that order is the
-tail list read from the end, with no sort.  Since every bound grows with
-the child's count (c is the parent's), the first child the bounds cut cuts
-all its later siblings, and they are counted as nodes in one step (see
-``_solve``).
+tail list read from the end, with no sort.  Since the tail-aware and
+lookahead bounds at c grow with the child's count (c is the parent's), the
+first child they cut cuts all its later siblings, and they are counted as
+nodes in one step (see ``_solve``).  The open-count bound and the lookahead
+bound at the next tail's count depend on which tail closes, so they cut
+only their own child.
 
 A partial placement is also cut when an earlier one beats it.  Its
 *structure* is the number of real open tails and, for each group of
@@ -155,6 +171,8 @@ class BlockSolution:
     relaxation_cuts: int  # children cut by the relaxation bound
     # of the ladder cuts, those the tail-aware bound alone did not make; not stored
     lookahead_cuts: int
+    # of the ladder cuts, those only the counts of the tails left open made; not stored
+    open_count_cuts: int
     floor: int  # the aspiration incumbent the first run started from
     runs: int  # 2 when every leaf was below the floor and the search ran again from 0
     # each leaf that raised the incumbent: (nodes so far, its value); not stored
@@ -281,6 +299,16 @@ def _path_caps(ladder: Mapping[int, int], n: int) -> list[int | None]:
     return caps
 
 
+def _arc_cap(r: int, ladder: Mapping[int, int], caps: list[int | None]) -> int:
+    """q: the most paths one arc entering a suffix of length r carries.
+
+    The largest p(s) over s <= r-2, or f(r) where one of them is missing;
+    see the open-count bound in the module docstring.
+    """
+    head = caps[: r - 1]
+    return ladder[r] if None in head else max(head)
+
+
 def _front(pairs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """The pairs (a, g) no other pair is at least in both, a descending."""
     front, top = [], 0
@@ -336,10 +364,11 @@ def _solve(
     """Branch-and-bound core.  Returns (f, arcs, nodes, completed, cuts, trail).
 
     ``f`` and ``arcs`` are the best leaf evaluated, (0, None) when none was.
-    ``cuts`` is (dominance, ladder, relaxation, lookahead): states cut by
-    dominance, and children cut by each bound, each cut child counted as its
-    node is.  The lookahead cuts are the ladder cuts made where the
-    tail-aware bound did not cut, the siblings cut with them included.
+    ``cuts`` is (dominance, ladder, relaxation, lookahead, open count):
+    states cut by dominance, and children cut by each bound, each cut child
+    counted as its node is.  The lookahead cuts are the ladder cuts made
+    where the tail-aware bound did not cut, the siblings cut with them
+    included; the open-count cuts are those the bounds at c did not make.
     ``trail`` lists (nodes so far, value) for each leaf that raised
     ``best_f``.  With ``dominance=False`` no state is looked up or stored,
     so the search cuts by the bounds and the structure mask alone; the
@@ -369,18 +398,19 @@ def _solve(
     last.  The tail placed at ``pos``, when present, is the last entry; it
     cannot close at ``pos + 1`` and is skipped without counting a node.
 
-    Every bound of the module docstring, the tail-aware and lookahead
-    ladder bounds and the relaxation bound, never decreases as the child's
-    count ``nx`` grows (the ladder bounds' c is the parent's largest open
-    count, ``opens[-1]``, the same for every sibling, and each pair's a is
-    at least 0), and ``best_f`` is fixed while children are only cut.  So
-    once one child's bound is at most ``best_f``, every later sibling is
-    cut too.  A child is tested against the tail-aware bound first, then
-    against its lookahead pairs, stopping at the first above ``best_f``.
-    Each cut child still counts as one node, so the loop adds all of them
-    at once and the node count is that of visiting them one by one; a
-    budget spent on the way stops at exactly ``budget + 1`` nodes, as a
-    one-by-one walk would.
+    The tail-aware and lookahead ladder bounds and the relaxation bound
+    never decrease as the child's count ``nx`` grows (the ladder bounds' c
+    is the parent's largest open count, ``opens[-1]``, the same for every
+    sibling, and each pair's a is at least 0), and ``best_f`` is fixed
+    while children are only cut.  So once one child's bound is at most
+    ``best_f``, every later sibling is cut too.  A child is tested against
+    the tail-aware bound first, then against its lookahead pairs, stopping
+    at the first above ``best_f``.  A feasible child these leave is tested
+    against the open-count bounds, which read the last three ``opens``
+    entries and cut that child alone.  Each cut child still counts as one
+    node, so the loop adds all of them at once and the node count is that
+    of visiting them one by one; a budget spent on the way stops at exactly
+    ``budget + 1`` nodes, as a one-by-one walk would.
 
     **Structure.**  Number the real open tails from the top; they split the
     interval starts 1..pos into groups, group 0 above the highest tail,
@@ -475,7 +505,9 @@ def _solve(
     # the bounds of a child at pos + 1, by r = k - pos: the tail-aware bound
     # as (p(r-1), f(r) - p(r-1), p(r), f(r) - p(r)), with p(r-1) = f(r) where
     # the ladder lacks it, then the incoming and outgoing lookahead pairs,
-    # None unless the ladder holds f(2..r-1); None where it has no f(r)
+    # None unless the ladder holds f(2..r-1), then an incoming child's
+    # min(q, D) and max(0, D - q) for the open-count bound; None where the
+    # ladder has no f(r)
     fs = {**ftable, 0: 1, 1: 1}
     caps = _path_caps(fs, k)
     suffix_f: list[tuple | None] = [None] * k
@@ -485,7 +517,8 @@ def _solve(
         if fr is not None:
             pin, pout = caps[r - 1] or fr, caps[r]
             look = _lookahead(r, fs, caps) if below else (None, None)
-            suffix_f[k - r] = (pin, fr - pin, pout, fr - pout, *look)
+            q, din = _arc_cap(r, fs, caps), fr - pin
+            suffix_f[k - r] = (pin, din, pout, fr - pout, *look, min(q, din), max(0, din - q))
         below = below and fr is not None
     # without a budget: more nodes than the tree can have (at most k + 1
     # children per node, fewer than k levels), so the one test never fires
@@ -494,7 +527,7 @@ def _solve(
     best_f = floor
     leaf_f = 0
     leaf_arcs: tuple[Edge, ...] | None = None
-    nodes = dominance_cuts = ladder_cuts = relaxation_cuts = lookahead_cuts = 0
+    nodes = dominance_cuts = ladder_cuts = relaxation_cuts = lookahead_cuts = open_count_cuts = 0
     trail: list[tuple[int, int]] = []
     W = k
     guards = [0]  # guards[n]: the top bits of n fields
@@ -507,7 +540,7 @@ def _solve(
 
     def rec(pos: int, x: int, mask: int, tails: int) -> None:
         nonlocal best_f, leaf_f, leaf_arcs, nodes
-        nonlocal dominance_cuts, ladder_cuts, relaxation_cuts, lookahead_cuts
+        nonlocal dominance_cuts, ladder_cuts, relaxation_cuts, lookahead_cuts, open_count_cuts
         top = len(opens)
         if pos >= keyed:
             # dominance: cut this state if a finished one of its structure
@@ -554,7 +587,7 @@ def _solve(
 
         fb = suffix_f[pos]
         if fb is not None:
-            fin, din, fout, dout, look_in, look_out = fb
+            fin, din, fout, dout, look_in, look_out, qin, ein = fb
             c = opens[-1][1]  # the largest open count
             cin, cout = c * din, c * dout
         else:
@@ -595,11 +628,40 @@ def _solve(
             nodes += 1
             if nodes > limit:
                 raise _BudgetSpent
+            if p and idx == top - 1 and mask & 2:  # it closes an interval
+                idx -= 1
+                continue
+            if fb is not None:
+                # the open-count bounds, from the tails this child leaves
+                # open; they may cut this child alone, so they come last
+                over = False
+                if p and idx == top - 1:  # it closes the top tail
+                    w, w2 = opens[-2][1], opens[-3][1] if top > 2 else 1
+                    over = ub - (c - w) * qin - (c - w2) * ein <= best_f
+                    if not over and w < c and look_in is not None:
+                        # the lookahead pairs at the next tail's count
+                        d = nx - w
+                        for a, g in look_in:
+                            if a * d + g * w > best_f:
+                                break
+                        else:
+                            over = True
+                elif ein:  # the top tail stays open; the next may close
+                    if p and idx == top - 2:
+                        w2 = opens[-3][1]
+                    else:
+                        w2 = opens[-2][1] if top > 1 else 1
+                    over = ub - (c - w2) * ein <= best_f
+                if over:
+                    ladder_cuts += 1
+                    open_count_cuts += 1
+                    idx -= 1
+                    continue
             partner[nxt] = p
             partner[p] = nxt
             if p == 0:
                 rec(nxt, nx, 0, tails)  # nxt's partner 0 lies below every start
-            elif idx < top - 1 or not mask & 2:  # else it closes an interval
+            else:
                 # closing the j-th tail from the top clears the groups above
                 # it and merges the two groups around it into the lower one
                 j = top - idx
@@ -640,7 +702,7 @@ def _solve(
         completed = True
     except _BudgetSpent:
         completed = False
-    cuts = (dominance_cuts, ladder_cuts, relaxation_cuts, lookahead_cuts)
+    cuts = (dominance_cuts, ladder_cuts, relaxation_cuts, lookahead_cuts, open_count_cuts)
     return leaf_f, leaf_arcs, nodes, completed, cuts, tuple(trail)
 
 
@@ -702,9 +764,9 @@ def solve_block(k: int, budget: int | None = None) -> BlockSolution:
     relaxation bound).  Results are memoized per ``(k, budget)``, so the
     smaller blocks are solved once per budget, whatever the call order.
     The memo stays because callers walk the ladder: solving k=2..22 in
-    ascending order in one process takes 36,985 nodes with it and 132,770
-    without it, since each call would re-solve every rung below k (0.07 s
-    against 0.25 s, medians of 5 runs, Python 3.11, 2 CPUs).
+    ascending order in one process takes 32,532 nodes with it and 114,827
+    without it, since each call would re-solve every rung below k (0.034 s
+    against 0.135 s, medians of 5 runs, Python 3.11.7, 2 CPUs).
     A budget too small for some rung raises ``BudgetTooSmallError`` naming k.
     """
     try:
@@ -728,7 +790,7 @@ def _solve_block(k: int, budget: int | None) -> BlockSolution:
     return solve_rung(k, ladder, budget)
 
 
-def _finish(k, f, arcs, nodes, proven, cuts=(0, 0, 0, 0), floor=0, runs=1, trail=()) -> BlockSolution:
+def _finish(k, f, arcs, nodes, proven, cuts=(0, 0, 0, 0, 0), floor=0, runs=1, trail=()) -> BlockSolution:
     """Re-check the witness from scratch; raise if it is infeasible or off."""
     issues = check_assignment(k, arcs)
     if issues:
@@ -765,8 +827,8 @@ def load_table(path) -> dict[int, dict]:
     passes ``check_assignment`` and reproduces the integer f, and g2 is f's.  A bad row
     raises ``ValueError`` naming k, a file that is not a JSON object keyed
     by k one naming the file.  The 61 rows k=2..62 audit in about 0.03 s
-    (Python 3.11, 2 CPUs); solving rows k=2..40 takes about 6 s, rows
-    k=41..56 about 2.3 min more and rows k=57..62 about 5.3 min more.
+    (Python 3.11, 2 CPUs); solving rows k=2..40 takes about 4.4 s, rows
+    k=41..56 about 2.0 min more and rows k=57..62 about 4.5 min more.
     """
     with open(path) as fh:
         try:
@@ -775,7 +837,7 @@ def load_table(path) -> dict[int, dict]:
             raise ValueError(f"block table {path}: not JSON: {exc}") from None
     if not isinstance(document, dict):
         raise ValueError(f"block table {path}: not a JSON object keyed by k")
-    fields = table_row(BlockSolution(2, 2, (), True, 0, 0, 0, 0, 0, 0, 1))  # any solution names them
+    fields = table_row(BlockSolution(2, 2, (), True, 0, 0, 0, 0, 0, 0, 0, 1))  # any solution names them
     rows = {}
     for key, row in document.items():
         if not (key.isdecimal() and str(int(key)) == key):
@@ -824,8 +886,8 @@ def save_table(path, rows: Mapping[int, dict]) -> None:
     is created if missing.  The text goes to a temporary file beside
     ``path`` that then replaces it, so a write that fails part way leaves
     the old table whole and no temporary file.  From an empty table,
-    solving and saving row by row takes about 1 s to k=32, 6 s to k=40,
-    2.4 min to k=56 and 7.7 min to k=62 (Python 3.11, 2 CPUs).
+    solving and saving row by row takes about 0.8 s to k=32, 4.4 s to
+    k=40, 2.0 min to k=56 and 6.5 min to k=62 (Python 3.11, 2 CPUs).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -6,8 +6,9 @@ apart from the wall seconds that ``search``, ``block`` and ``bound`` report,
 with how they stopped (``complete`` or ``budget``), in their provenance.
 ``search`` and ``block`` also list there each raise of the incumbent as
 [nodes so far, new value] under ``incumbents``; ``block`` lists none for a
-row it read from the table.  ``block`` also gives there ``lookahead_cuts``,
-the children only the search's lookahead bound cut (null for a row read from
+row it read from the table.  ``block`` also gives there ``lookahead_cuts``
+and ``open_count_cuts``, the children only the search's lookahead bound and
+only the counts of the tails left open cut (each null for a row read from
 the table).  ``search`` lists only raises above its seed,
 the closed family member it starts from, which it reports under ``seed``
 (family, tuple and total, or null).
@@ -262,7 +263,8 @@ def _extend_table(
     """The audited rows at ``path``, every size 2..k_max proven or solved.
 
     Also returns the solution of each size solved here, which holds what
-    its row does not store: the incumbent trail and the lookahead cuts.
+    its row does not store: the incumbent trail, the lookahead and the
+    open-count cuts.
     With no path the table starts empty and stays in memory: no file is
     written and no progress line printed.
     """
@@ -320,6 +322,8 @@ def cmd_block(args) -> int:
     provenance["incumbents"] = [list(step) for step in sol.incumbents] if sol else []
     # of the ladder cuts, those only the lookahead pairs made; not stored
     provenance["lookahead_cuts"] = sol.lookahead_cuts if sol else None
+    # of the ladder cuts, those only the counts of the tails left open made
+    provenance["open_count_cuts"] = sol.open_count_cuts if sol else None
     provenance["stop"] = "complete" if row["proven"] else "budget"
     provenance["seconds"] = time.perf_counter() - t0
     doc = fileio.make_report("block", inputs, row, provenance)

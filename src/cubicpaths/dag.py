@@ -324,7 +324,7 @@ def structural_3ec(dag: Dag) -> tuple[bool, Witness | None]:
     low = [0] * (n + 1)  # smallest in-neighbour; 0 at the source
     for u, v in reversed(dag.edges):
         low[v] = u
-    step = list(map(int.__sub__, outdeg, indeg))
+    step = [o - i for o, i in zip(outdeg, indeg)]
     for i in range(2, n):
         crossing = 3
         for j in range(i + 1, n):

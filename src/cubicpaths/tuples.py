@@ -50,7 +50,12 @@ class ArcTuple:
     klass: TupleClass = TupleClass.BOUNDARY
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        # stored as given: int() would quietly truncate a float entry
+        values = tuple(self.values)
+        if not set(map(type, values)) <= {int}:
+            i, v = next((i, v) for i, v in enumerate(values) if type(v) is not int)
+            raise InvalidTupleError((f"entry {i + 1} is {v!r}, not an int",))
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -271,15 +271,15 @@ def test_every_window_of_a_real_graph_is_a_feasible_block(table):
 
 
 def test_budget_exhaustion_flags(table):
-    sol = solve_block(10, budget=150)
+    sol = solve_block(10, budget=100)
     assert not sol.proven_optimal
     assert check_assignment(10, sol.assignment) == []
     assert sol.f <= solve_block(10).f
     # with the full ladder k=9's floor is 14, one below f = 15, which the
-    # search first reaches at node 37; 30 of its 81 nodes stop the run
+    # search first reaches at node 28; 20 of its 61 nodes stop the run
     # before that, and the best leaf at or below the floor is reported
-    sol = solve_rung(9, {r: table[r]["f"] for r in range(2, 9)}, 30)
-    assert (sol.floor, sol.runs, sol.proven_optimal, sol.nodes_explored) == (14, 1, False, 31)
+    sol = solve_rung(9, {r: table[r]["f"] for r in range(2, 9)}, 20)
+    assert (sol.floor, sol.runs, sol.proven_optimal, sol.nodes_explored) == (14, 1, False, 21)
     assert check_assignment(9, sol.assignment) == []
     assert recompute_counts(9, sol.assignment) == sol.f <= 14
 
@@ -344,8 +344,8 @@ def test_partial_ladders_match_the_oracle(oracle):
             assert recompute_counts(k, sol.assignment) == oracle[k]
 
 
-def _children_and_best(k: int) -> list[tuple[bool, int, int, int, int]]:
-    """(incoming, nx, c, r, best) for each child at a position below k of each feasible prefix.
+def _children_and_best(k: int) -> list[tuple]:
+    """(incoming, nx, c, r, best, left, top) for each child at a position below k of each feasible prefix.
 
     A plain enumerator with ``brute_block``'s rules: vertex 1 is outgoing;
     a later vertex is outgoing (but not vertex k), incoming from the dummy
@@ -354,7 +354,9 @@ def _children_and_best(k: int) -> list[tuple[bool, int, int, int, int]]:
     count, c the largest open count of the parent (the dummy's 1 included),
     r = k - pos the length of the suffix from the child on, and ``best``
     the largest x_k over the child's feasible completions; a child with
-    none is left out.
+    none is left out.  ``left`` lists the counts of the real tails placed
+    before the child and open after it, and ``top`` says whether the child
+    closes the tail placed last.
     """
     partner = [0] * (k + 1)
     partner[1] = k + 2
@@ -373,37 +375,47 @@ def _children_and_best(k: int) -> list[tuple[bool, int, int, int, int]]:
             return x
         nxt = pos + 1
         children = []
+        counts = [v for _, v in opens]
         if nxt < k:
             partner[nxt] = k + 2
-            children.append((False, x, best(nxt, x, opens + [(nxt, x)])))
+            children.append((False, x, best(nxt, x, opens + [(nxt, x)]), counts, False))
         partner[nxt] = 0
-        children.append((True, x + 1, best(nxt, x + 1, opens)))
+        children.append((True, x + 1, best(nxt, x + 1, opens), counts, False))
         for i, (p, v) in enumerate(opens):
             if p <= nxt - 2:
                 partner[nxt], partner[p] = p, nxt
                 if not closes_an_interval(nxt):
-                    children.append((True, x + v, best(nxt, x + v, opens[:i] + opens[i + 1 :])))
+                    rest = opens[:i] + opens[i + 1 :]
+                    left = counts[:i] + counts[i + 1 :]
+                    top = i == len(opens) - 1
+                    children.append((True, x + v, best(nxt, x + v, rest), left, top))
                 partner[p] = k + 2
         partner[nxt] = 0
-        c = max([1] + [v for _, v in opens])
-        for incoming, nx, b in children:
+        c = max([1] + counts)
+        for incoming, nx, b, left, top in children:
             if b >= 0 and nxt < k:
-                found.append((incoming, nx, c, k - pos, b))
-        return max(b for _, _, b in children)
+                found.append((incoming, nx, c, k - pos, b, left, top))
+        return max(b for _, _, b, _, _ in children)
 
     best(1, 1, [(1, 1)])
     return found
 
 
-def test_tail_aware_child_bound_is_admissible(table):
+@pytest.fixture(scope="module")
+def child_bests():
+    """``_children_and_best(k)`` for k = 3..11, which three tests walk."""
+    return {k: _children_and_best(k) for k in range(3, 12)}
+
+
+def test_tail_aware_child_bound_is_admissible(table, child_bests):
     # every child's best completion is at most c f(r) + (nx - c) f(r - 2)
     # when incoming and c f(r) + (nx - c) f(r - 1) when outgoing, with
     # f(1) = f(0) = 1; children meet it exactly, also with 4 or more
     # vertices left, where it is no mere count of the last arcs
     f = {0: 1, 1: 1, **{k: row["f"] for k, row in table.items()}}
     children = tight = 0
-    for k in range(3, 12):
-        for incoming, nx, c, r, best in _children_and_best(k):
+    for k, found in child_bests.items():
+        for incoming, nx, c, r, best, _, _ in found:
             bound = c * f[r] + (nx - c) * f[r - 2 if incoming else r - 1]
             assert best <= bound, (k, incoming, nx, c, r, best)
             tight += best == bound and r >= 4
@@ -426,7 +438,7 @@ def _lookahead_by_cases(incoming, n, c, r, f, p):
     return max(cases + ([2 * n + (r - 2) * c] if r > 2 else []) + [n + (r - 1) * c])
 
 
-def test_lookahead_child_bound_is_admissible(table):
+def test_lookahead_child_bound_is_admissible(table, child_bests):
     # every child's best completion is at most the largest lookahead case;
     # the fronts of pairs give exactly that largest case, the bound is below
     # the tail-aware one at 5,084 children, and the child bound, the smaller
@@ -435,8 +447,8 @@ def test_lookahead_child_bound_is_admissible(table):
     p = blocks._path_caps(f, 12)
     fronts = {r: blocks._lookahead(r, f, p) for r in range(2, 12)}
     children = below = tight = 0
-    for k in range(3, 12):
-        for incoming, nx, c, r, best in _children_and_best(k):
+    for k, found in child_bests.items():
+        for incoming, nx, c, r, best, _, _ in found:
             bound = _lookahead_by_cases(incoming, nx, c, r, f, p)
             pairs = fronts[r][0 if incoming else 1]
             assert max(a * (nx - c) + s * c for a, s in pairs) == bound, (k, incoming, nx, c, r)
@@ -446,6 +458,34 @@ def test_lookahead_child_bound_is_admissible(table):
             tight += best == min(bound, tail) and r >= 4
             children += 1
     assert (children, below, tight) == (89_130, 5_084, 2_096)
+
+
+def test_open_count_bound_is_admissible(table, child_bests):
+    # every child's best completion is at most nx P + w1 min(q, D) + w2
+    # max(0, D - q), with w1 >= w2 the two largest counts left open; it is
+    # the tail-aware bound when D <= q and the top tail stays open, and
+    # below it at 14,812 children; each of the 13,687 that close the top tail
+    # also keeps the lookahead bound at the next tail's count
+    f = {0: 1, 1: 1, **{k: row["f"] for k, row in table.items()}}
+    p = blocks._path_caps(f, 12)
+    children = below = closing = 0
+    for k, found in child_bests.items():
+        for incoming, nx, c, r, best, left, top in found:
+            q = blocks._arc_cap(r, f, p)
+            cap = p[r - 1] if incoming else p[r]
+            d = f[r] - cap
+            w1, w2, *_ = sorted(left, reverse=True) + [1, 1]
+            bound = nx * cap + w1 * min(q, d) + w2 * max(0, d - q)
+            assert best <= bound, (k, incoming, nx, left, r, best)
+            tail = c * f[r] + (nx - c) * cap
+            if d <= q and not top:
+                assert bound == tail, (k, incoming, nx, left, r)
+            below += bound < tail
+            if top:
+                assert best <= _lookahead_by_cases(True, nx, w1, r, f, p), (k, nx, left, r)
+                closing += 1
+            children += 1
+    assert (children, below, closing) == (89_130, 14_812, 13_687)
 
 
 def test_path_caps_are_f_of_s_minus_1_on_the_stored_table(table):
@@ -500,20 +540,20 @@ def test_incumbent_trail(oracle):
     # each leaf that raised the incumbent, (nodes so far, value), ending at f;
     # k=10's floor is one below f, so only the leaf worth f raises it, and
     # the trail is no part of the stored row
-    assert solve_block(14).incumbents == ((84, 47), (190, 48))
-    assert solve_block(10).incumbents == ((28, 19),)
+    assert solve_block(14).incumbents == ((63, 47), (153, 48))
+    assert solve_block(10).incumbents == ((20, 19),)
     assert "incumbents" not in table_row(solve_block(14))
     # a floor above f: the first run (2 nodes) finds nothing above it, and
     # the second run's trail counts those 2 nodes first
     ladder = {r: oracle[r] for r in range(2, 12)}
     ladder[11] *= 2
     sol = solve_rung(12, ladder)
-    assert (sol.f, sol.floor, sol.runs, sol.nodes_explored) == (31, 60, 2, 444)
+    assert (sol.f, sol.floor, sol.runs, sol.nodes_explored) == (31, 60, 2, 364)
     first_run = _solve(12, None, ladder, 60)
     assert (first_run[2], first_run[5]) == (2, ())
     second_run = _solve(12, None, ladder)
     assert sol.incumbents == tuple((2 + m, value) for m, value in second_run[5])
-    assert sol.incumbents[-1] == (199, 31)
+    assert sol.incumbents[-1] == (162, 31)
 
 
 def _extended_by_three(m: int, arcs) -> tuple:
@@ -560,7 +600,7 @@ def test_search_without_dominance_reproduces_the_stored_rows(table):
 def test_ladder_without_rung_k_minus_7_keeps_floor_0(table):
     # without f(k-7) there is no guess, and without f(k-3) no doubled rung:
     # one run from 0, with the node counts of a search that has no floor
-    before = {9: 137, 12: 521, 16: 2_133, 20: 8_632, 22: 15_431}
+    before = {9: 110, 12: 434, 16: 1_797, 20: 7_412, 22: 13_545}
     for k, nodes in before.items():
         ladder = {r: table[r]["f"] for r in range(2, k) if r not in (k - 7, k - 3)}
         sol = solve_rung(k, ladder)
@@ -714,6 +754,10 @@ def test_cut_counters(table):
     # the lookahead cuts are ladder cuts, and no part of the stored row
     assert 0 < full.lookahead_cuts < full.ladder_cuts and bare.lookahead_cuts == 0
     assert "lookahead_cuts" not in table_row(full)
+    # so are the open-count cuts, which the bounds at c did not make
+    assert 0 < full.open_count_cuts and bare.open_count_cuts == 0
+    assert full.lookahead_cuts + full.open_count_cuts < full.ladder_cuts
+    assert "open_count_cuts" not in table_row(full)
     oracle = brute_block(8)
     assert (oracle.dominance_cuts, oracle.ladder_cuts, oracle.relaxation_cuts) == (0, 0, 0)
 
@@ -752,8 +796,8 @@ def test_solve_block_does_not_depend_on_call_history():
         "sol = solve_block(18, budget=130_000)\n"
         "print(sol.f, sol.proven_optimal, sol.nodes_explored)\n"
     )
-    assert fresh.split() == ["137", "True", "2712"]
-    assert (sol.f, sol.proven_optimal, sol.nodes_explored) == (137, True, 2_712)
+    assert fresh.split() == ["137", "True", "2382"]
+    assert (sol.f, sol.proven_optimal, sol.nodes_explored) == (137, True, 2_382)
 
 
 def test_assemble_bound_never_solves(table, monkeypatch):
@@ -797,7 +841,7 @@ def test_ladder_solves_each_size_once_and_matches_the_table(table):
         k, f, nodes, proven = line.split()
         solved[int(k)] = (int(f), int(nodes), proven == "True")
     assert solved == {k: (table[k]["f"], table[k]["nodes"], True) for k in range(2, 23)}
-    assert sum(nodes for _, nodes, _ in solved.values()) == 36_985
+    assert sum(nodes for _, nodes, _ in solved.values()) == 32_532
     # the same search from the stored ladder gives the stored row: every
     # count, the floor, the runs and the witness
     for k in range(2, 23):

@@ -348,33 +348,38 @@ def test_block_json_reports_the_incumbent_trail(capsys):
     # searched, so it lists none
     assert main(["--format", "json", "block", "--k", "14"]) == 0
     provenance = json.loads(capsys.readouterr().out)["provenance"]
-    assert provenance["incumbents"] == [[84, 47], [190, 48]]
+    assert provenance["incumbents"] == [[63, 47], [153, 48]]
     assert main(["--format", "json", "block", "--k", "14", "--table", str(TABLE)]) == 0
     assert json.loads(capsys.readouterr().out)["provenance"]["incumbents"] == []
 
 
 def test_block_json_reports_the_lookahead_cuts(capsys):
-    # a solved row gives the children only the lookahead bound cut, which
-    # its stored row leaves out; a row read from the table gives null
+    # a solved row gives the children only the lookahead bound cut, and
+    # those only the counts of the tails left open cut, which its stored
+    # row leaves out; a row read from the table gives null for both
     assert main(["--format", "json", "block", "--k", "14"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["provenance"]["lookahead_cuts"] == solve_block(14).lookahead_cuts == 70
+    sol = solve_block(14)
+    assert report["provenance"]["lookahead_cuts"] == sol.lookahead_cuts == 70
+    assert report["provenance"]["open_count_cuts"] == sol.open_count_cuts == 56
     assert "lookahead_cuts" not in report["outputs"]
+    assert "open_count_cuts" not in report["outputs"]
     assert main(["--format", "json", "block", "--k", "14", "--table", str(TABLE)]) == 0
-    assert json.loads(capsys.readouterr().out)["provenance"]["lookahead_cuts"] is None
+    provenance = json.loads(capsys.readouterr().out)["provenance"]
+    assert provenance["lookahead_cuts"] is provenance["open_count_cuts"] is None
 
 
 @pytest.mark.parametrize(
     "budget, stop, proven", ((None, "complete", True), (150, "budget", False))
 )
 def test_block_json_reports_floor_runs_and_provenance(budget, stop, proven, capsys):
-    # k=10's floor, 18, is one below f: the leaf worth f beats it and
-    # proves f in one run; 150 nodes prove k=9 (81) but stop k=10 (160)
+    # k=11's floor, 22, is one below f: the leaf worth f beats it and
+    # proves f in one run; 150 nodes prove k=10 (129) but stop k=11 (246)
     flags = [] if budget is None else ["--budget", str(budget)]
-    assert main(["--format", "json", *flags, "block", "--k", "10"]) == 0
+    assert main(["--format", "json", *flags, "block", "--k", "11"]) == 0
     report = json.loads(capsys.readouterr().out)
     outputs, provenance = report["outputs"], report["provenance"]
-    assert (outputs["floor"], outputs["proven"]) == (18, proven)
+    assert (outputs["floor"], outputs["proven"]) == (22, proven)
     assert outputs["runs"] == 1
     assert (provenance["budget"], provenance["stop"]) == (budget, stop)
     assert provenance["seconds"] >= 0
@@ -456,7 +461,7 @@ def test_bound_and_block_rows_of_one_k_agree(capsys):
 
 @pytest.mark.parametrize("budget, stop, rigorous", ((None, "complete", True), (200, "budget", False)))
 def test_bound_json_reports_stop_and_seconds(budget, stop, rigorous, capsys):
-    # 200 nodes prove k=6..9 but stop k=10 (270 nodes)
+    # 200 nodes prove k=6..10 but stop k=11 (246 nodes)
     flags = [] if budget is None else ["--budget", str(budget)]
     assert main(["--format", "json", *flags, "bound", "--range", "6", "11"]) == 0
     report = json.loads(capsys.readouterr().out)

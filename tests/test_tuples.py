@@ -157,6 +157,17 @@ def test_merged_class_invariants():
     assert not is_valid(ArcTuple((2, 2, 3), TupleClass.MERGED), 1)  # top value only once
 
 
+def test_an_entry_that_is_not_an_int_is_rejected_not_coerced():
+    # int() would have made (2.7, 3, 3) the valid merged tuple (2, 3, 3)
+    with pytest.raises(InvalidTupleError, match=r"^entry 1 is 2\.7, not an int$"):
+        ArcTuple((2.7, 3, 3), TupleClass.MERGED)
+    # a bool is an int subclass, but no label
+    with pytest.raises(InvalidTupleError, match=r"^entry 2 is True, not an int$"):
+        ArcTuple([2, True, 3])
+    t = ArcTuple([2, 3, 3], TupleClass.MERGED)
+    assert t.values == (2, 3, 3) and type(t.values) is tuple
+
+
 def test_parse_format_roundtrip():
     t = parse_tuple("2,4,5,4,5")
     assert t.values == (2, 4, 5, 4, 5)
