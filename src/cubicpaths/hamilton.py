@@ -18,7 +18,8 @@ Distinct graphs can be processed concurrently without restriction.
 The public one-move functions (``outgoing_move``, ``incoming_move``) check
 every precondition in full on a fresh graph.  ``hamiltonize`` shares
 their local checks but checks each global precondition once per phase, and
-after a move recounts only the vertices whose count can change.
+after a move recounts the swap's two heads, and the vertices from the lower
+one up only if a head's count changed.
 """
 from __future__ import annotations
 
@@ -68,8 +69,9 @@ def tree_sort_order(dag: Dag) -> tuple[int, ...]:
     count it shares; the source and each vertex with two or more in-edges
     root their own trees.  The order lists each tree contiguously, root
     first and members in original order, with the trees stably sorted by
-    count: one sort on (root's count, root, vertex).  A tail lies in its
-    head's tree or in one of smaller count, so every edge still goes forward.
+    count: one stable sort on mu(root) * (N+1) + root, by count then root
+    (root <= N), keeps vertex order in a tree.  A tail lies in its head's tree
+    or in one of smaller count, so every edge still goes forward.
     The edges are sorted by tail, so in one pass over them root[u] is final
     before the first edge out of u is read.
     """
@@ -81,7 +83,8 @@ def tree_sort_order(dag: Dag) -> tuple[int, ...]:
     for u, v in dag.edges:
         if indeg[v] == 1:
             root[v] = root[u]
-    return tuple(sorted(range(1, n + 1), key=lambda v: (mu[root[v]], root[v], v)))
+    key = [mu[r] * (n + 1) + r for r in root]
+    return tuple(sorted(range(1, n + 1), key=key.__getitem__))
 
 
 def renumber(dag: Dag, order: tuple[int, ...]) -> Dag:
@@ -217,13 +220,15 @@ def hamiltonize(dag: Dag) -> tuple[Dag, MoveLog]:
     outgoing phase, and v+1 follows v when the incoming phase reaches v (the
     path edges above v+1 were checked at earlier steps).
 
-    After each move only the counts that can change are recounted, in
-    increasing vertex order: the heads of the removed and added edges, whose
-    in-lists changed, and the out-neighbours of each vertex whose count
-    changed.  Every edge goes forward, so a vertex is reached after all its
-    in-neighbours; any other vertex reads the same in-list and the same
-    counts as before.  A move that changes no count (every outgoing move on
-    a tree-sorted graph) logs the same ``mu`` tuple before and after.
+    After each move the counts are recounted from the live in-lists.  A swap
+    keeps every in-degree, so only its two heads' in-lists change, and as
+    edges go forward the lowest count to change is a head's.  If neither
+    head's count changes (the lower head reads only unchanged counts, and if
+    its count holds the higher one does too), no count does, and the move logs
+    the same ``mu`` before and after, as every outgoing move on a tree-sorted
+    graph does.  Otherwise each vertex from the lower head to the sink is
+    recounted in order, from in-neighbours below that head or already
+    recounted, so each is exact.
 
     Raises ``RewriteError`` if a phase precondition fails, any logged move
     lowers a count (so the output would not dominate the tree-sorted input)
@@ -235,34 +240,27 @@ def hamiltonize(dag: Dag) -> tuple[Dag, MoveLog]:
     outs, ins = adjacency(start)  # every move keeps every degree
     mu = count_paths(start).mu
     counts = [0, *mu]  # 1-based, kept equal to mu
-    dirty = bytearray(n + 1)  # vertices waiting to be recounted
+    at = counts.__getitem__
     log: list[Move] = []
 
     def apply(kind: str, focus: int, swap: Swap) -> None:
         nonlocal mu
         _apply_swap(outs, ins, swap)
-        heads = [v for pair in swap for _, v in pair]
-        pending = 0
-        for v in heads:
-            if not dirty[v]:
-                dirty[v] = 1
-                pending += 1
+        (_, a), (_, b) = swap[0]  # the added edges enter the same heads
         changed = lowered = False
-        v = min(heads)
-        while pending:
-            if dirty[v]:
-                dirty[v] = 0
-                pending -= 1
-                count = sum(map(counts.__getitem__, ins[v]))
+        if sum(map(at, ins[a])) != counts[a] or sum(map(at, ins[b])) != counts[b]:
+            for v in range(min(a, b), n + 1):
+                i = ins[v]
+                if len(i) == 2:
+                    count = counts[i[0]] + counts[i[1]]
+                elif len(i) == 1:
+                    count = counts[i[0]]
+                else:  # the sink
+                    count = sum(map(at, i))
                 if count != counts[v]:
                     changed = True
                     lowered = lowered or count < counts[v]
                     counts[v] = count
-                    for w in outs[v]:
-                        if not dirty[w]:
-                            dirty[w] = 1
-                            pending += 1
-            v += 1
         after = tuple(counts[1:]) if changed else mu
         move = Move(kind, focus, swap[0], swap[1], mu, after)
         if lowered:

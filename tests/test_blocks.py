@@ -517,6 +517,41 @@ def test_path_caps_with_a_rung_scaled_up(table, oracle):
     assert (caps[7], caps[10]) == (f[7], max(f[9], 2 * f[7]))
 
 
+def _arc_cap_by_definition(r, ladder):
+    """q(r): the largest p(s) over s <= r-2, or f(r) where one is missing, with
+    p(0..2) = 1 and p(s) = max(f(s-1), 2 p(s-3)), else f(s), else missing."""
+
+    def p(s):
+        if s < 3:
+            return 1
+        below = p(s - 3)
+        if s - 1 in ladder and below is not None:
+            return max(ladder[s - 1], 2 * below)
+        return ladder.get(s)
+
+    caps = [p(s) for s in range(r - 1)]
+    return ladder[r] if None in caps else max(caps)
+
+
+@pytest.mark.parametrize(
+    "missing, fallback",
+    (((), ()), ((6,), ()), ((6, 7), range(9, 63)), ((30, 31, 45), [*range(33, 45), *range(46, 63)])),
+)
+def test_arc_cap_matches_its_definition(table, missing, fallback):
+    # on the stored ladder p(s) = f(s-1) rises, so q(r) = f(r-3) from r = 5;
+    # with two adjacent rungs m, m+1 missing p(m+1) is missing, so q(r) falls
+    # back to f(r) from r = m+3
+    f = {0: 1, 1: 1, **{k: row["f"] for k, row in table.items()}}
+    ladder = {r: v for r, v in f.items() if r not in missing}
+    caps = blocks._path_caps(ladder, max(table) + 1)
+    q = {r: blocks._arc_cap(r, ladder, caps) for r in range(2, max(table) + 1) if r in ladder}
+    assert len(q) == 61 - len(missing)
+    assert q == {r: _arc_cap_by_definition(r, ladder) for r in q}
+    if not missing:
+        assert q == {r: f[r - 3] if r >= 5 else 1 for r in q}
+    assert {r for r in q if r >= 5 and q[r] == f[r] != f[r - 3]} == set(fallback)
+
+
 def test_floor_contract(oracle):
     # from a floor G below f the search proves f with a witness; from G >= f
     # it completes with no leaf above G, and any leaf it hands back (the

@@ -9,9 +9,13 @@ equal.  ``_reference_violations`` (with ``_reference_profile_violations``)
 is the validation verdict as it was before the range check moved into the
 degree pass and the messages behind cheap checks: the (structural,
 profile) pair must be equal, messages and their order included.
+``_reference_hamiltonize`` recounts after each move by a dirty-flag walk
+over the out-neighbours of each changed vertex, on the tuple-key tree sort;
+output, move log and errors must be equal.
 """
 import itertools
 import random
+import re
 from bisect import bisect_left
 
 from cubicpaths import (
@@ -19,6 +23,7 @@ from cubicpaths import (
     Dag,
     DegreeProfile,
     InvalidDagError,
+    RewriteError,
     TupleClass,
     count_paths,
     decode,
@@ -28,8 +33,9 @@ from cubicpaths import (
     structural_3ec,
     tree_sort_order,
 )
+from cubicpaths import hamilton
 from cubicpaths.dag import _violations, adjacency, require_cubic, require_valid
-from cubicpaths.hamilton import renumber
+from cubicpaths.hamilton import Move, renumber
 from cubicpaths.tuples import _boundary_layout, class_issues, is_simple_tuple
 
 from conftest import boundary_tuples, merged_tuples, random_cubic
@@ -317,3 +323,139 @@ def test_is_on_ham_path_matches_the_reference_on_multigraphs():
                 verdicts.append(verdict)
     assert {True, False} <= set(verdicts)
     assert any(v[0] == "raises" for v in verdicts if isinstance(v, tuple))
+
+
+def _reference_tree_sort(dag):
+    out = renumber(dag, _reference_tree_sort_order(dag))
+    require_valid(out)
+    return out
+
+
+def _reference_hamiltonize(dag, sort=_reference_tree_sort):
+    """``hamiltonize`` with the dirty-flag recount: after a move, the heads and
+    the out-neighbours of each vertex whose count changed, in vertex order.
+    The swaps are read through ``hamilton``, so a patched one is used here too."""
+    start = sort(dag)
+    n = start.vertex_count
+    outs, ins = adjacency(start)
+    mu = count_paths(start).mu
+    counts = [0, *mu]
+    dirty = bytearray(n + 1)
+    log = []
+
+    def apply(kind, focus, swap):
+        nonlocal mu
+        hamilton._apply_swap(outs, ins, swap)
+        heads = [v for pair in swap for _, v in pair]
+        pending = 0
+        for v in heads:
+            if not dirty[v]:
+                dirty[v] = 1
+                pending += 1
+        changed = lowered = False
+        v = min(heads)
+        while pending:
+            if dirty[v]:
+                dirty[v] = 0
+                pending -= 1
+                count = sum(map(counts.__getitem__, ins[v]))
+                if count != counts[v]:
+                    changed = True
+                    lowered = lowered or count < counts[v]
+                    counts[v] = count
+                    for w in outs[v]:
+                        if not dirty[w]:
+                            dirty[w] = 1
+                            pending += 1
+            v += 1
+        after = tuple(counts[1:]) if changed else mu
+        move = Move(kind, focus, swap[0], swap[1], mu, after)
+        if lowered:
+            raise RewriteError(f"{kind} move at {focus} lowered a path count: {move}")
+        log.append(move)
+        mu = after
+
+    for b in range(3, n + 1):
+        if len(outs[b]) == 2 and b not in outs[b - 1]:
+            apply("outgoing", b, hamilton._outgoing_swap(outs, ins, b))
+    for w in range(3, n + 1):
+        if len(outs[w]) == 2 and w not in outs[w - 1]:
+            raise RewriteError(f"outdegree-2 vertex {w} is unhooked after the outgoing moves")
+    for v in range(n, 2, -1):
+        if v < n and v + 1 not in outs[v]:
+            raise RewriteError(f"vertex {v + 1} does not follow {v} at incoming step {v}")
+        if len(ins[v]) == 2 and v - 1 not in ins[v]:
+            apply("incoming", v, hamilton._incoming_swap(outs, ins, v))
+
+    out = hamilton._to_dag(outs, start.profile)
+    if not is_on_ham_path(out):
+        raise RewriteError(f"rewrite did not end on a Hamiltonian path: {out.edges}")
+    return out, tuple(log)
+
+
+def _rewrite_outcome(fn, *args):
+    """(output, move log), or the type and message of the error raised."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:  # MoveError, RewriteError, InvalidDagError
+        return type(exc), str(exc)
+
+
+def _error_kind(outcome):
+    """The error's type and message up to any colon, numbers masked; None if none."""
+    if not isinstance(outcome[0], type):
+        return None
+    return outcome[0].__name__, re.sub(r"\d+", "#", outcome[1].split(":")[0])
+
+
+def _skip_first(swap):
+    """``swap`` with its first move made a no-op: the swap re-adds what it removes."""
+    skipped = []
+
+    def patched(outs, ins, v):
+        removed, added = swap(outs, ins, v)
+        if skipped:
+            return removed, added
+        skipped.append(v)
+        return removed, removed
+
+    return patched
+
+
+def test_hamiltonize_matches_the_dirty_walk_reference(monkeypatch):
+    graphs = [decode(t) for length in range(2, 8) for t in merged_tuples(length)]
+    rng = random.Random(34)
+    graphs += [random_cubic(rng, 2 * rng.randint(8, 32)) for _ in range(300)]
+    assert len(graphs) == 2520 + 300
+    moves = {"outgoing": 0, "incoming": 0}
+    for g in graphs:
+        outcome = _rewrite_outcome(hamiltonize, g)
+        assert outcome == _rewrite_outcome(_reference_hamiltonize, g), g.edges
+        for m in outcome[1]:
+            moves[m.kind] += 1
+    assert moves == {"outgoing": 1182, "incoming": 3861}
+    # the fault injections of test_hamilton, on every graph: no tree sort,
+    # and a no-op first swap in one phase; both sides fail alike or agree
+    errors = set()
+    for g in graphs:
+        with monkeypatch.context() as patch:
+            patch.setattr(hamilton, "tree_sort", lambda dag: dag)
+            outcome = _rewrite_outcome(hamiltonize, g)
+            assert outcome == _rewrite_outcome(_reference_hamiltonize, g, lambda dag: dag), g.edges
+        errors.add(_error_kind(outcome))
+        for name in ("_outgoing_swap", "_incoming_swap"):
+            swap = getattr(hamilton, name)
+            with monkeypatch.context() as patch:
+                patch.setattr(hamilton, name, _skip_first(swap))
+                outcome = _rewrite_outcome(hamiltonize, g)
+                patch.setattr(hamilton, name, _skip_first(swap))
+                assert outcome == _rewrite_outcome(_reference_hamiltonize, g), (name, g.edges)
+            errors.add(_error_kind(outcome))
+    # the lowering check, both phase checks and a failed local precondition
+    assert errors == {
+        None,
+        ("RewriteError", "outgoing move at # lowered a path count"),
+        ("RewriteError", "outdegree-# vertex # is unhooked after the outgoing moves"),
+        ("RewriteError", "vertex # does not follow # at incoming step #"),
+        ("MoveError", "predecessor # is not outdegree-#"),
+    }
