@@ -1,7 +1,7 @@
 """Source-to-sink path counting and extremal search on acyclic 3-regular graphs."""
 
 # set before the submodules load: fileio reads it
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .dag import (
     Dag,

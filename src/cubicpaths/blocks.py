@@ -32,8 +32,7 @@ j's arc lands after j' or at the sink, P(j) = P(j') + Q <= f(s-t) (embed
 j'..k); if it lands between, t >= 3 and P(j) = 2 P(j'); with no outgoing
 vertex after j, P(j) <= 2, and 1 when s = 2.  So by induction, f being
 increasing, p(s) = max(f(s-1), 2 p(s-3)) for s >= 3, with p(0) = p(1) =
-p(2) = 1, caps P(j) for every suffix of length at most s.  Where the ladder
-lacks f(s-1) or p(s-3), p(s) = f(s) does (embed j..k).  These embeddings
+p(2) = 1, caps P(j) for every suffix of length at most s.  These embeddings
 all start at an outgoing vertex.  On the stored table p(s) = f(s-1) at
 every s; the tightest is f(58) = 1.0196 * 2 f(55).  An incoming b passes
 its paths on to the next outgoing vertex, so P <= p(r-1) for it, and P <=
@@ -41,20 +40,19 @@ p(r) for an outgoing b.
 
 *Tail-aware bound.*  Each w_a is an open tail's count or the dummy's 1, at
 most c, the largest open count, and c <= x_b, so x_k <= c f(r) + (x_b - c)
-P with P <= p(r-1) or p(r) as above.  Where the ladder lacks p(r-1), P <=
-f(r) gives x_k <= x_b f(r) for an incoming b.
+P with P <= p(r-1) or p(r) as above.
 
 *Open-count bound.*  A real tail feeds at most one arc into the suffix,
 which lands on an incoming vertex after b; that vertex passes its paths on
 to an outgoing vertex heading at most r-2 vertices, or to none (1 path), so
-Q_a <= q, the largest p(s) over s <= r-2 (f(r) where the ladder lacks one).
-With w1 >= w2 the two largest counts of the real tails placed before b and
-open after it (the dummy's 1 where fewer remain), sum w_a Q_a <= H(D) =
-w1 min(q, D) + w2 max(0, D - q) for D = f(r) - P, and x_b P + H(f(r) - P)
-is nondecreasing in P, since H's slope is at most w1 <= c <= x_b.  So x_k
-<= x_b P + H(f(r) - P) with P the cap above; it is the tail-aware bound
-when w1 = c and D <= q.  An outgoing b leaves w1 = c, and D <= q at every
-r of the stored table, so the search tests the bound on incoming b only.
+Q_a <= q, the largest p(s) over s <= r-2.  With w1 >= w2 the two largest
+counts of the real tails placed before b and open after it (the dummy's 1
+where fewer remain), sum w_a Q_a <= H(D) = w1 min(q, D) + w2 max(0, D - q)
+for D = f(r) - P, and x_b P + H(f(r) - P) is nondecreasing in P, since H's
+slope is at most w1 <= c <= x_b.  So x_k <= x_b P + H(f(r) - P) with P the
+cap above; it is the tail-aware bound when w1 = c and D <= q.  An outgoing
+b leaves w1 = c, and D <= q at every r of the stored table, so the search
+tests the bound on incoming b only.
 
 *Lookahead bound.*  Let j = b+t be the first outgoing vertex after b and s
 = r-t.  The vertices b+1..j-1 are incoming, each from an arc of weight at
@@ -77,14 +75,30 @@ holds with the next tail's count for c.  The child's bound is the smallest
 of these, the tail-aware and the open-count bound.  Each case is
 a (n - c) + g c with a >= 0 and (a, g) fixed by r and the ladder.  Since
 n >= c, a case no larger than another in both a and g is never the largest,
-so ``_lookahead`` keeps per r only the others, sorted once.  The lookahead
-bound needs f(2..r-1); where the ladder lacks one, the tail-aware bound
-stands alone, and where it lacks f(r), the relaxation bound of
-``_relaxation_bound`` replaces both.
-Solving k therefore proceeds bottom-up along the ladder f(2), f(3), ...;
-only proven values are ever used as bounds.
-``solve_rung`` takes that ladder as an argument; ``solve_block`` builds it
-by solving every smaller block itself.
+so ``_lookahead`` keeps per r only the others, sorted once.
+
+*Rung caps.*  The bounds read f(2..k-1).  Where the ladder lacks f(r),
+``_full_ladder`` stands a proven cap F(r) >= f(r) in its place, filled from
+r = k-1 down as the least of these, F being f or a cap already filled:
+
+* r 2^floor(r/2).  x_1 = 1, and each later vertex keeps x, adds 1 (an arc
+  from the dummy source) or at most doubles it (an arc from a real tail,
+  whose count is at most x), so by induction x_r <= (1 + a) 2^d after a
+  adds and d doublings.  Each doubling vertex needs an outgoing vertex of
+  its own before it, so 2d <= r, and a <= r-1: x_r <= r 2^floor(r/2).
+* F(r+1) - 1 when r+1 < k, since f is increasing and integer.
+* floor((F(r+3) - 1) / 2) when r+3 < k, by the floor lemma below.
+
+Each bound above is nondecreasing in every f and p value it reads, and p
+is nondecreasing in f: the tail-aware bound and each lookahead case are
+sums of f and p values times non-negative factors, and x_b P + H(f(r) - P)
+is nondecreasing in P (shown above), in f(r) and in q, since H grows with D
+and, where q < D, has slope w1 - w2 >= 0 in q.  So a bound built from caps is at least the one built
+from f, and stays admissible: a rung that is missing costs nodes, never
+correctness.  Only proven values and caps proved from them are ever used
+as bounds.  Solving k therefore proceeds bottom-up along the ladder f(2),
+f(3), ...; ``solve_rung`` takes that ladder as an argument, and
+``solve_block`` builds it by solving every smaller block itself.
 
 The children of a vertex are tried incoming from the open tail with the
 largest count first, the dummy source last, then outgoing.  The open tails
@@ -167,8 +181,7 @@ class BlockSolution:
     proven_optimal: bool
     nodes_explored: int
     dominance_cuts: int  # states cut by a stored state of the same structure
-    ladder_cuts: int  # children cut by the ladder bounds, tail-aware or lookahead
-    relaxation_cuts: int  # children cut by the relaxation bound
+    ladder_cuts: int  # children cut by the ladder bounds: tail-aware, lookahead or open-count
     # of the ladder cuts, those the tail-aware bound alone did not make; not stored
     lookahead_cuts: int
     # of the ladder cuts, those only the counts of the tails left open made; not stored
@@ -276,37 +289,55 @@ def _aspiration_floor(k: int, ladder: Mapping[int, int]) -> int:
     return floor
 
 
-def _relaxation_bound(x: int, r: int, n_open: int) -> int:
-    """Admissible bound with interval constraints dropped on the suffix.
+def _doubling_cap(r: int) -> int:
+    """r 2^floor(r/2), at least f(r): the first of the rung caps in the module docstring."""
+    return r << (r // 2)
 
-    Over r remaining positions at most (r + open) // 2 arcs can land, each
-    at most doubling the count, and dummy arcs add at most 1 each first.
+
+def _full_ladder(k: int, ladder: Mapping[int, int]) -> list[int]:
+    """F(0..k-1): f(0) = f(1) = 1, then ``ladder[r]``, or a cap where it lacks r.
+
+    The caps are filled from r = k-1 down, each the least of r 2^floor(r/2),
+    F(r+1) - 1 and floor((F(r+3) - 1) / 2), the last two where r+1 and r+3
+    are below k; the rung caps in the module docstring prove each at least
+    f(r).  Only the bounds read F: a floor built from a cap above f would
+    be above f too and set off the second run, so ``_aspiration_floor``
+    reads the ladder.
     """
-    return (x + r) * (1 << ((r + min(n_open, r)) // 2))
+    fs = [1] * k
+    for r in range(k - 1, 1, -1):
+        if r in ladder:
+            fs[r] = ladder[r]
+            continue
+        cap = _doubling_cap(r)
+        if r + 1 < k:
+            cap = min(cap, fs[r + 1] - 1)
+        if r + 3 < k:
+            cap = min(cap, (fs[r + 3] - 1) // 2)
+        fs[r] = cap
+    return fs
 
 
-def _path_caps(ladder: Mapping[int, int], n: int) -> list[int | None]:
+def _path_caps(fs: list[int], n: int) -> list[int]:
     """p(s) for s < n: caps on the paths from an outgoing vertex heading s vertices.
 
-    p(0) = p(1) = p(2) = 1 and p(s) = max(f(s-1), 2 p(s-3)); where the
-    ladder lacks f(s-1) or p(s-3) is None, p(s) = f(s), or None without it.
-    The module docstring proves that p(s) caps every suffix of length <= s.
+    p(0) = p(1) = p(2) = 1 and p(s) = max(F(s-1), 2 p(s-3)) over the full
+    ladder ``fs``.  The module docstring proves that p(s) caps every suffix
+    of length <= s.
     """
-    caps: list[int | None] = [1, 1, 1]
+    caps = [1, 1, 1]
     for s in range(3, n):
-        f1, p3 = ladder.get(s - 1), caps[s - 3]
-        caps.append(max(f1, 2 * p3) if f1 is not None and p3 is not None else ladder.get(s))
+        caps.append(max(fs[s - 1], 2 * caps[s - 3]))
     return caps
 
 
-def _arc_cap(r: int, ladder: Mapping[int, int], caps: list[int | None]) -> int:
+def _arc_cap(r: int, caps: list[int]) -> int:
     """q: the most paths one arc entering a suffix of length r carries.
 
-    The largest p(s) over s <= r-2, or f(r) where one of them is missing;
-    see the open-count bound in the module docstring.
+    The largest p(s) over s <= r-2; see the open-count bound in the module
+    docstring.
     """
-    head = caps[: r - 1]
-    return ladder[r] if None in head else max(head)
+    return max(caps[: r - 1])
 
 
 def _front(pairs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -319,18 +350,18 @@ def _front(pairs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(front)
 
 
-def _lookahead(r: int, ladder: Mapping[int, int], caps: list[int | None]):
+def _lookahead(r: int, fs: list[int], caps: list[int]):
     """(incoming, outgoing) lookahead pairs of a child heading a suffix of length r.
 
     A pair (a, g) bounds x_k by a (n - c) + g c for the child's count n and
     the parent's largest open count c; the child's bound is the largest of
-    its pairs.  Each list is ``_front``'s.  Needs f(2..r-1) in ``ladder``.
+    its pairs.  Each list is ``_front``'s; ``fs`` is the full ladder.
     """
     incoming = [(1, r)]  # no outgoing vertex follows
     outgoing = [(2 if r > 2 else 1, r)]
     for t in range(1, r - 1):  # the next outgoing vertex t after the child
         s = r - t
-        p, f = caps[s], ladder[s]
+        p, f = caps[s], fs[s]
         g = f + (t - 1) * p  # the same for each case at this t
         incoming.append((p, g))
         outgoing.append((max(f, 2 * p) if t >= 3 else f, g))
@@ -364,11 +395,13 @@ def _solve(
     """Branch-and-bound core.  Returns (f, arcs, nodes, completed, cuts, trail).
 
     ``f`` and ``arcs`` are the best leaf evaluated, (0, None) when none was.
-    ``cuts`` is (dominance, ladder, relaxation, lookahead, open count):
-    states cut by dominance, and children cut by each bound, each cut child
-    counted as its node is.  The lookahead cuts are the ladder cuts made
-    where the tail-aware bound did not cut, the siblings cut with them
-    included; the open-count cuts are those the bounds at c did not make.
+    ``cuts`` is (dominance, ladder, lookahead, open count): states cut by
+    dominance, and children cut by the ladder bounds, each cut child counted
+    as its node is.  Every bound reads the full ladder of ``_full_ladder``,
+    where a cap stands for each rung ``ftable`` lacks.  The lookahead cuts
+    are the ladder cuts made where the tail-aware bound did not cut, the
+    siblings cut with them included; the open-count cuts are those the
+    bounds at c did not make.
     ``trail`` lists (nodes so far, value) for each leaf that raised
     ``best_f``.  With ``dominance=False`` no state is looked up or stored,
     so the search cuts by the bounds and the structure mask alone; the
@@ -386,7 +419,7 @@ def _solve(
 
     The state is ``partner`` and ``opens``, the open tails (source, count) in
     placement order.  The dummy source (0, 1) is a tail that never closes: it
-    is tried after every real tail and is no open arc to the relaxation bound.
+    is tried after every real tail.
 
     ``opens`` is always in non-decreasing count order.  The dummy (0, 1)
     comes first and 1 is the smallest count.  A tail (s, x_s) is appended
@@ -398,19 +431,18 @@ def _solve(
     last.  The tail placed at ``pos``, when present, is the last entry; it
     cannot close at ``pos + 1`` and is skipped without counting a node.
 
-    The tail-aware and lookahead ladder bounds and the relaxation bound
-    never decrease as the child's count ``nx`` grows (the ladder bounds' c
-    is the parent's largest open count, ``opens[-1]``, the same for every
-    sibling, and each pair's a is at least 0), and ``best_f`` is fixed
-    while children are only cut.  So once one child's bound is at most
-    ``best_f``, every later sibling is cut too.  A child is tested against
-    the tail-aware bound first, then against its lookahead pairs, stopping
-    at the first above ``best_f``.  A feasible child these leave is tested
-    against the open-count bounds, which read the last three ``opens``
-    entries and cut that child alone.  Each cut child still counts as one
-    node, so the loop adds all of them at once and the node count is that
-    of visiting them one by one; a budget spent on the way stops at exactly
-    ``budget + 1`` nodes, as a one-by-one walk would.
+    The tail-aware and lookahead bounds never decrease as the child's count
+    ``nx`` grows (their c is the parent's largest open count, ``opens[-1]``,
+    the same for every sibling, and each pair's a is at least 0), and
+    ``best_f`` is fixed while children are only cut.  So once one child's
+    bound is at most ``best_f``, every later sibling is cut too.  A child is
+    tested against the tail-aware bound first, then against its lookahead
+    pairs, stopping at the first above ``best_f``.  A feasible child these
+    leave is tested against the open-count bounds, which read the last
+    three ``opens`` entries and cut that child alone.  Each cut child still
+    counts as one node, so the loop adds all of them at once and the node
+    count is that of visiting them one by one; a budget spent on the way
+    stops at exactly ``budget + 1`` nodes, as a one-by-one walk would.
 
     **Structure.**  Number the real open tails from the top; they split the
     interval starts 1..pos into groups, group 0 above the highest tail,
@@ -502,24 +534,18 @@ def _solve(
     partner = [0] * (k + 1)
     partner[1] = INF  # vertex 1 is forced outgoing: its slots are path+path+out
     opens: list[tuple[int, int]] = [(0, 1), (1, 1)]
-    # the bounds of a child at pos + 1, by r = k - pos: the tail-aware bound
-    # as (p(r-1), f(r) - p(r-1), p(r), f(r) - p(r)), with p(r-1) = f(r) where
-    # the ladder lacks it, then the incoming and outgoing lookahead pairs,
-    # None unless the ladder holds f(2..r-1), then an incoming child's
-    # min(q, D) and max(0, D - q) for the open-count bound; None where the
-    # ladder has no f(r)
-    fs = {**ftable, 0: 1, 1: 1}
+    # the bounds of a child at pos + 1, at suffix_f[pos - 1] for r = k - pos:
+    # the tail-aware bound as (p(r-1), F(r) - p(r-1), p(r), F(r) - p(r)), the
+    # incoming and outgoing lookahead pairs, then an incoming child's
+    # min(q, D) and max(0, D - q) for the open-count bound
+    fs = _full_ladder(k, ftable)
     caps = _path_caps(fs, k)
-    suffix_f: list[tuple | None] = [None] * k
-    below = True  # the ladder holds f(2..r-1)
-    for r in range(2, k):
-        fr = fs.get(r)
-        if fr is not None:
-            pin, pout = caps[r - 1] or fr, caps[r]
-            look = _lookahead(r, fs, caps) if below else (None, None)
-            q, din = _arc_cap(r, fs, caps), fr - pin
-            suffix_f[k - r] = (pin, din, pout, fr - pout, *look, min(q, din), max(0, din - q))
-        below = below and fr is not None
+    suffix_f = []
+    for r in range(k - 1, 1, -1):
+        fr, pin, pout = fs[r], caps[r - 1], caps[r]
+        q, din = _arc_cap(r, caps), fr - pin
+        look = _lookahead(r, fs, caps)
+        suffix_f.append((pin, din, pout, fr - pout, *look, min(q, din), max(0, din - q)))
     # without a budget: more nodes than the tree can have (at most k + 1
     # children per node, fewer than k levels), so the one test never fires
     limit = budget if budget is not None else (k + 2) ** k
@@ -527,7 +553,7 @@ def _solve(
     best_f = floor
     leaf_f = 0
     leaf_arcs: tuple[Edge, ...] | None = None
-    nodes = dominance_cuts = ladder_cuts = relaxation_cuts = lookahead_cuts = open_count_cuts = 0
+    nodes = dominance_cuts = ladder_cuts = lookahead_cuts = open_count_cuts = 0
     trail: list[tuple[int, int]] = []
     W = k
     guards = [0]  # guards[n]: the top bits of n fields
@@ -540,7 +566,7 @@ def _solve(
 
     def rec(pos: int, x: int, mask: int, tails: int) -> None:
         nonlocal best_f, leaf_f, leaf_arcs, nodes
-        nonlocal dominance_cuts, ladder_cuts, relaxation_cuts, lookahead_cuts, open_count_cuts
+        nonlocal dominance_cuts, ladder_cuts, lookahead_cuts, open_count_cuts
         top = len(opens)
         if pos >= keyed:
             # dominance: cut this state if a finished one of its structure
@@ -585,13 +611,9 @@ def _solve(
                         trail.append((nodes, leaf_f))
             return
 
-        fb = suffix_f[pos]
-        if fb is not None:
-            fin, din, fout, dout, look_in, look_out, qin, ein = fb
-            c = opens[-1][1]  # the largest open count
-            cin, cout = c * din, c * dout
-        else:
-            look_in = look_out = None
+        fin, din, fout, dout, look_in, look_out, qin, ein = suffix_f[pos - 1]
+        c = opens[-1][1]  # the largest open count
+        cin, cout = c * din, c * dout
         # incoming children in decreasing count order, dummy last: opens read
         # from the end, skipping the tail placed at pos (it cannot close at nxt)
         idx = top - 1
@@ -600,9 +622,9 @@ def _solve(
         while idx >= 0:
             p, v = opens[idx]
             nx = x + v
-            ub = nx * fin + cin if fb is not None else _relaxation_bound(nx, k - nxt, top - 1)
+            ub = nx * fin + cin
             ahead = False  # cut by the lookahead pairs alone
-            if ub > best_f and look_in is not None:
+            if ub > best_f:
                 d = nx - c
                 for a, g in look_in:
                     if a * d + g * c > best_f:
@@ -616,12 +638,9 @@ def _solve(
                 if nodes + cut > limit:  # a budget stop still ends at limit + 1
                     cut = limit - nodes + 1
                 nodes += cut
-                if fb is not None:
-                    ladder_cuts += cut
-                    if ahead:
-                        lookahead_cuts += cut
-                else:
-                    relaxation_cuts += cut
+                ladder_cuts += cut
+                if ahead:
+                    lookahead_cuts += cut
                 if nodes > limit:
                     raise _BudgetSpent
                 break
@@ -631,32 +650,31 @@ def _solve(
             if p and idx == top - 1 and mask & 2:  # it closes an interval
                 idx -= 1
                 continue
-            if fb is not None:
-                # the open-count bounds, from the tails this child leaves
-                # open; they may cut this child alone, so they come last
-                over = False
-                if p and idx == top - 1:  # it closes the top tail
-                    w, w2 = opens[-2][1], opens[-3][1] if top > 2 else 1
-                    over = ub - (c - w) * qin - (c - w2) * ein <= best_f
-                    if not over and w < c and look_in is not None:
-                        # the lookahead pairs at the next tail's count
-                        d = nx - w
-                        for a, g in look_in:
-                            if a * d + g * w > best_f:
-                                break
-                        else:
-                            over = True
-                elif ein:  # the top tail stays open; the next may close
-                    if p and idx == top - 2:
-                        w2 = opens[-3][1]
+            # the open-count bounds, from the tails this child leaves open;
+            # they may cut this child alone, so they come last
+            over = False
+            if p and idx == top - 1:  # it closes the top tail
+                w, w2 = opens[-2][1], opens[-3][1] if top > 2 else 1
+                over = ub - (c - w) * qin - (c - w2) * ein <= best_f
+                if not over and w < c:
+                    # the lookahead pairs at the next tail's count
+                    d = nx - w
+                    for a, g in look_in:
+                        if a * d + g * w > best_f:
+                            break
                     else:
-                        w2 = opens[-2][1] if top > 1 else 1
-                    over = ub - (c - w2) * ein <= best_f
-                if over:
-                    ladder_cuts += 1
-                    open_count_cuts += 1
-                    idx -= 1
-                    continue
+                        over = True
+            elif ein:  # the top tail stays open; the next may close
+                if p and idx == top - 2:
+                    w2 = opens[-3][1]
+                else:
+                    w2 = opens[-2][1] if top > 1 else 1
+                over = ub - (c - w2) * ein <= best_f
+            if over:
+                ladder_cuts += 1
+                open_count_cuts += 1
+                idx -= 1
+                continue
             partner[nxt] = p
             partner[p] = nxt
             if p == 0:
@@ -675,9 +693,9 @@ def _solve(
         nodes += 1
         if nodes > limit:
             raise _BudgetSpent
-        ub = x * fout + cout if fb is not None else _relaxation_bound(x, k - nxt, top)
+        ub = x * fout + cout
         ahead = False
-        if ub > best_f and look_out is not None:
+        if ub > best_f:
             d = x - c
             for a, g in look_out:
                 if a * d + g * c > best_f:
@@ -691,18 +709,16 @@ def _solve(
             # holds no closed vertex, so the group holding it is set
             rec(nxt, x, ((mask >> 1) << 2) | 2, tails | x << W * (top - 1))
             opens.pop()
-        elif fb is not None:
+        else:
             ladder_cuts += 1
             lookahead_cuts += ahead
-        else:
-            relaxation_cuts += 1
 
     try:
         rec(1, 1, 2, 1)
         completed = True
     except _BudgetSpent:
         completed = False
-    cuts = (dominance_cuts, ladder_cuts, relaxation_cuts, lookahead_cuts, open_count_cuts)
+    cuts = (dominance_cuts, ladder_cuts, lookahead_cuts, open_count_cuts)
     return leaf_f, leaf_arcs, nodes, completed, cuts, tuple(trail)
 
 
@@ -714,9 +730,11 @@ def solve_rung(k: int, ladder: Mapping[int, int], budget: int | None = None) -> 
     """Exact maximum of x_k, given proven optima ``ladder[r]`` of smaller blocks.
 
     Each ladder value bounds the suffixes of its length; a size missing from
-    the ladder falls back to the relaxation bound, which costs nodes but never
-    correctness.  A proven result is proven relative to the ladder's values.
-    The returned assignment re-checks against every constraint from scratch.
+    the ladder is bounded by a rung cap (see the module docstring), which
+    costs nodes but never correctness.  A proven result is proven relative to
+    the ladder's values; a proven f above k 2^floor(k/2), the first rung cap,
+    raises ``RuntimeError``.  The returned assignment re-checks against every
+    constraint from scratch.
 
     The search starts from the aspiration floor of the ladder (see the module
     docstring).  A completed search proves f <= floor when no leaf beats the
@@ -750,8 +768,8 @@ def solve_rung(k: int, ladder: Mapping[int, int], budget: int | None = None) -> 
         raise BudgetTooSmallError(
             f"budget {budget} too small to reach any feasible assignment for k={k}"
         )
-    if completed and f > _relaxation_bound(1, k - 1, 1):
-        raise RuntimeError(f"relaxation bound fell below the optimum f({k}) = {f}")
+    if completed and f > _doubling_cap(k):
+        raise RuntimeError(f"the rung cap {_doubling_cap(k)} fell below the optimum f({k}) = {f}")
     return _finish(k, f, arcs, nodes, completed, cuts, floor, runs, trail)
 
 
@@ -760,8 +778,8 @@ def solve_block(k: int, budget: int | None = None) -> BlockSolution:
 
     A pure function of ``(k, budget)``: the ladder is the proven
     ``solve_block(r, budget).f`` of every r < k, so an exhausted budget can
-    never corrupt a result (an unproven rung just falls back to the
-    relaxation bound).  Results are memoized per ``(k, budget)``, so the
+    never corrupt a result (an unproven rung is left out, and a rung cap
+    bounds its suffixes).  Results are memoized per ``(k, budget)``, so the
     smaller blocks are solved once per budget, whatever the call order.
     The memo stays because callers walk the ladder: solving k=2..22 in
     ascending order in one process takes 32,532 nodes with it and 114,827
@@ -790,7 +808,7 @@ def _solve_block(k: int, budget: int | None) -> BlockSolution:
     return solve_rung(k, ladder, budget)
 
 
-def _finish(k, f, arcs, nodes, proven, cuts=(0, 0, 0, 0, 0), floor=0, runs=1, trail=()) -> BlockSolution:
+def _finish(k, f, arcs, nodes, proven, cuts=(0, 0, 0, 0), floor=0, runs=1, trail=()) -> BlockSolution:
     """Re-check the witness from scratch; raise if it is infeasible or off."""
     issues = check_assignment(k, arcs)
     if issues:
@@ -809,7 +827,6 @@ def table_row(sol: BlockSolution) -> dict:
         "nodes": sol.nodes_explored,
         "dominance_cuts": sol.dominance_cuts,
         "ladder_cuts": sol.ladder_cuts,
-        "relaxation_cuts": sol.relaxation_cuts,
         "floor": sol.floor,
         "runs": sol.runs,
         "assignment": [list(arc) for arc in sol.assignment],
@@ -837,7 +854,7 @@ def load_table(path) -> dict[int, dict]:
             raise ValueError(f"block table {path}: not JSON: {exc}") from None
     if not isinstance(document, dict):
         raise ValueError(f"block table {path}: not a JSON object keyed by k")
-    fields = table_row(BlockSolution(2, 2, (), True, 0, 0, 0, 0, 0, 0, 0, 1))  # any solution names them
+    fields = table_row(BlockSolution(2, 2, (), True, 0, 0, 0, 0, 0, 0, 1))  # any solution names them
     rows = {}
     for key, row in document.items():
         if not (key.isdecimal() and str(int(key)) == key):
@@ -855,7 +872,7 @@ def load_table(path) -> dict[int, dict]:
             raise ValueError(f"block table row k={k}: has unknown {', '.join(unknown)}")
         if not isinstance(row["proven"], bool):
             raise ValueError(f"block table row k={k}: proven is not true or false")
-        for name in ("nodes", "dominance_cuts", "ladder_cuts", "relaxation_cuts", "floor"):
+        for name in ("nodes", "dominance_cuts", "ladder_cuts", "floor"):
             if type(row[name]) is not int or row[name] < 0:
                 raise ValueError(f"block table row k={k}: {name} is not a non-negative integer")
         if type(row["runs"]) is not int or row["runs"] not in (1, 2):

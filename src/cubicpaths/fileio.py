@@ -38,7 +38,7 @@ def parse_graph_text(text: str) -> Dag:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "vertices" and len(parts) == 2 and parts[1].isdigit():
+        if parts[0] == "vertices" and len(parts) == 2 and parts[1].isdecimal():
             if vertices is not None:
                 problems.append(f"line {lineno}: duplicate vertices line")
             vertices = int(parts[1])

@@ -206,7 +206,7 @@ def test_criterion_10_block_fast_subset():
     # oracle extension where feasible
     for k in (13, 14):
         assert values[k] == brute_block(k).f
-    # internal relaxation bound and strict growth as structural checks
+    # strict growth as a structural check
     for k in range(18, 25):
         assert values[k] > values[k - 1]
     assert time.time() - t0 < 1800

@@ -76,6 +76,13 @@ def test_graph_parse_diagnostics():
         with pytest.raises(ParseError, match=f"line 1: edge {bad} outside 1..") as exc:
             parse_graph_text(text)
         assert len(exc.value.diagnostics) == 1
+    # a digit that is not decimal fails the vertices line, not int()
+    with pytest.raises(ParseError) as exc:
+        parse_graph_text("vertices \u00b2\nedge 1 2\n")
+    assert exc.value.diagnostics == (
+        "line 1: unrecognized line 'vertices \u00b2'",
+        "missing 'vertices <N>' line",
+    )
 
 
 def test_count_edge_before_vertices_is_a_parse_error(tmp_path, capsys):
